@@ -1,6 +1,6 @@
 // Package repro's top-level benchmarks regenerate every figure of the
-// paper's evaluation plus the signature table and the ablations, as laid
-// out in DESIGN.md. Each benchmark runs its experiment at a CI-friendly
+// paper's evaluation plus the signature table and the ablations, as
+// listed in README.md. Each benchmark runs its experiment at a CI-friendly
 // scale (override with -bench-scale) and reports the headline quantities
 // as custom metrics, so `go test -bench=. -benchmem` doubles as the
 // reproduction harness. Full paper-scale grids: cmd/atabench -full.

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/textplot"
@@ -199,9 +198,10 @@ func main() {
 		}
 	}
 
-	// Under the hood: build the 3-level topology, compile the recursive
-	// hierarchical plan, and run one exchange on the mpi runtime — the
-	// code path the planner's predictions stand in for.
+	// Under the hood: build the 3-level topology and compile the
+	// recursive hierarchical plan, then let grid.Run do the same and
+	// execute one exchange on the mpi runtime — the code path the
+	// planner's predictions stand in for.
 	g, err := cluster.BuildGridTree(threeLvl, 1)
 	if err != nil {
 		panic(err)
@@ -210,20 +210,25 @@ func main() {
 	fmt.Printf("\n%s plan on %s: %d ranks, %d phases, %d messages (%d cross-cluster)\n",
 		plan.Alg, threeLvl.Name, plan.Place.NumRanks(), plan.NumPhases(),
 		plan.NumMessages(), plan.CrossLeafMessages())
-	w := mpi.NewWorld(g.Env, mpi.Config{})
-	meas := coll.Measure(w, 1, 1, func(r *mpi.Rank) {
-		coll.AlltoallHierPlanned(r, plan, msgSize)
-	})
-	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize, meas.Mean())
+	// once measures one hier-gather repetition of w (after one warm-up)
+	// at seed 1; sr carries the plan spec and tracing of each call.
+	once := func(topo cluster.TopoNode, w coll.Workload, sr grid.SimRun) grid.RunResult {
+		sr.Seed, sr.Warmup, sr.Reps = 1, 1, 1
+		res, err := grid.Run(topo, w, grid.HierGather, sr)
+		if err != nil {
+			panic(err)
+		}
+		return res
+	}
+	exchange := coll.Uniform(coll.KindAlltoall, msgSize)
+	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize,
+		once(threeLvl, exchange, grid.SimRun{}).T)
 
 	// The same, with the wide deployment's selected (multi-)coordinator
 	// plan: the spec carries the chosen coordinator sets, and the wide
 	// leaf's gather/scatter splits across both chosen ports.
-	gw, err := cluster.BuildGridTree(wide.Tree(), 1)
-	if err != nil {
-		panic(err)
-	}
-	selPlan := coll.PlanHierTree(widePlanner.PlanSpec(), coll.HierGather)
+	wideSpec := widePlanner.PlanSpec()
+	selPlan := coll.PlanHierTree(wideSpec, coll.HierGather)
 	fmt.Printf("\n%s plan on %s with selected coordinators", selPlan.Alg, wide.Name)
 	for l := 0; l < selPlan.Tree.NumLeaves(); l++ {
 		fmt.Printf(" leaf%d=%v", l, selPlan.Tree.Coordinators(l))
@@ -231,11 +236,8 @@ func main() {
 	fmt.Printf(": %d ranks, %d phases, %d messages (%d cross-cluster)\n",
 		selPlan.Place.NumRanks(), selPlan.NumPhases(),
 		selPlan.NumMessages(), selPlan.CrossLeafMessages())
-	ww := mpi.NewWorld(gw.Env, mpi.Config{})
-	measSel := coll.Measure(ww, 1, 1, func(r *mpi.Rank) {
-		coll.AlltoallHierPlanned(r, selPlan, msgSize)
-	})
-	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize, measSel.Mean())
+	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize,
+		once(wide.Tree(), exchange, grid.SimRun{Spec: &wideSpec}).T)
 
 	// The contention factors behind those predictions are size-indexed
 	// curves, fitted at Options.ProbeSizes (default 8/64/256 KiB) and
@@ -259,17 +261,10 @@ func main() {
 	for _, pr := range threePlanner.PredictV(hotspot) { // sorted fastest first
 		fmt.Printf("  %-12s %.2fs predicted\n", pr.Strategy, pr.T)
 	}
-	gv, err := cluster.BuildGridTree(threeLvl, 1)
-	if err != nil {
-		panic(err)
-	}
-	vplan := coll.PlanHierTreeV(threePlanner.PlanSpec(), coll.HierGather, hotspot)
-	wv := mpi.NewWorld(gv.Env, mpi.Config{})
-	measV := coll.Measure(wv, 1, 1, func(r *mpi.Rank) {
-		coll.AlltoallHierPlannedV(r, vplan)
-	})
+	threeSpec := threePlanner.PlanSpec()
 	fmt.Printf("one simulated %s exchange of the hotspot matrix (%d B total): %.2fs\n",
-		vplan.Alg, hotspot.Total(), measV.Mean())
+		coll.HierGather, hotspot.Total(),
+		once(threeLvl, coll.Irregular(hotspot), grid.SimRun{Spec: &threeSpec}).T)
 
 	// The same characterization prices the whole collective suite: the
 	// solver's reduction and redistribution phases reuse the fitted tier
@@ -293,16 +288,14 @@ func main() {
 		fmt.Println(")")
 	}
 	// Ground-truth one suite plan end to end: compile allreduce over the
-	// selected coordinator tree and run it traced (a simulate.kind span
-	// with per-phase events; the run counts under planner.validations,
-	// so a warm store still reports planner.probes=0).
-	tAr, arPhases, err := grid.SimulateSpecKindTraced(tc, threeLvl, threePlanner.PlanSpec(),
-		coll.KindAllreduce, coll.HierGather, msgSize, 1, 1, 1)
-	if err != nil {
-		panic(err)
-	}
+	// selected coordinator tree and run it phase-traced (a simulate.kind
+	// span with per-phase events; the run counts under
+	// planner.validations, so a warm store still reports
+	// planner.probes=0).
+	ar := once(threeLvl, coll.Uniform(coll.KindAllreduce, msgSize),
+		grid.SimRun{Spec: &threeSpec, Trace: tc, Phases: true})
 	fmt.Printf("one simulated allreduce at %d B per rank: %.2fs over %d traced phases\n",
-		msgSize, tAr, len(arPhases))
+		msgSize, ar.T, len(ar.Phases))
 
 	if *storePath != "" {
 		// SaveFile writes atomically (temp file + rename), so a crash
@@ -348,18 +341,20 @@ func renderDiagnostics(tc *obs.Collector, pl *grid.Planner, topo cluster.TopoNod
 		fmt.Sprintf("%s probe dispersion per seed (min—median—max, s)", topo.Name),
 		labels, lo, mid, hi, 40))
 
-	t, phases, err := grid.SimulateSpecTraced(tc, topo, pl.PlanSpec(), coll.HierGather, msgSize, 1, 1, 1)
+	spec := pl.PlanSpec()
+	res, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, msgSize), grid.HierGather,
+		grid.SimRun{Trace: tc, Seed: 1, Warmup: 1, Reps: 1, Spec: &spec, Phases: true})
 	if err != nil {
 		panic(err)
 	}
 	var phLabels []string
 	var phDurs []float64
-	for _, ph := range phases {
+	for _, ph := range res.Phases {
 		phLabels = append(phLabels, ph.Label)
 		phDurs = append(phDurs, ph.Dur())
 	}
 	fmt.Println()
 	fmt.Print(textplot.HBar(
-		fmt.Sprintf("%s hier-gather per-phase span (s, total %.2fs)", topo.Name, t),
+		fmt.Sprintf("%s hier-gather per-phase span (s, total %.2fs)", topo.Name, res.T),
 		phLabels, phDurs, 40))
 }

@@ -142,16 +142,6 @@ type Grid struct {
 	Routers []*netsim.Device
 }
 
-// BuildGrid instantiates a flat two-level grid profile. It is sugar for
-// BuildGridTree over GridProfile.Tree: one recursive build path
-// constructs every grid.
-func BuildGrid(gp GridProfile, seed int64) (*Grid, error) {
-	if len(gp.Members) == 0 {
-		return nil, fmt.Errorf("cluster: grid %q has no members", gp.Name)
-	}
-	return BuildGridTree(gp.Tree(), seed)
-}
-
 // treeBuilder carries shared state across the recursive grid build.
 type treeBuilder struct {
 	nw    *netsim.Network

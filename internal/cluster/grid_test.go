@@ -10,7 +10,7 @@ import (
 
 func TestGridProfilesBuild(t *testing.T) {
 	for name, gp := range GridProfiles() {
-		g, err := BuildGrid(gp, 1)
+		g, err := BuildGridTree(gp.Tree(), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -137,7 +137,7 @@ func TestGridRejectsMixedTransportKinds(t *testing.T) {
 		},
 		WAN: DefaultWAN(10 * sim.Millisecond),
 	}
-	if _, err := BuildGrid(gp, 1); err == nil || !strings.Contains(err.Error(), "transport kinds") {
+	if _, err := BuildGridTree(gp.Tree(), 1); err == nil || !strings.Contains(err.Error(), "transport kinds") {
 		t.Fatalf("want mixed-kind error, got %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestGridRejectsNonRetransmittingTransport(t *testing.T) {
 	// GM relies on a lossless fabric; over tail-drop WAN ports the
 	// first lost segment would hang the simulation forever.
 	gp := Uniform("gm-grid", Myrinet(), 2, 2, DefaultWAN(10*sim.Millisecond))
-	if _, err := BuildGrid(gp, 1); err == nil || !strings.Contains(err.Error(), "retransmitting") {
+	if _, err := BuildGridTree(gp.Tree(), 1); err == nil || !strings.Contains(err.Error(), "retransmitting") {
 		t.Fatalf("want transport rejection, got %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestGridStarCrossesTwoWANLinks(t *testing.T) {
 	wan := DefaultWAN(wanLat)
 	wan.Mesh = false
 	gp := Uniform("t2star", GigabitEthernet(), 2, 2, wan)
-	g, err := BuildGrid(gp, 9)
+	g, err := BuildGridTree(gp.Tree(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestGridStarCrossesTwoWANLinks(t *testing.T) {
 func TestGridCrossClusterTransfer(t *testing.T) {
 	wanLat := 15 * sim.Millisecond
 	gp := Uniform("t2", WANTuned(GigabitEthernet()), 2, 3, DefaultWAN(wanLat))
-	g, err := BuildGrid(gp, 42)
+	g, err := BuildGridTree(gp.Tree(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,9 +118,8 @@ func (t TopoNode) Leaves() []TopoNode {
 }
 
 // Tree converts a flat two-level GridProfile into its topology tree: a
-// root group whose children are the member clusters. BuildGrid routes
-// through this conversion, so the flat API and explicit trees share one
-// recursive build path.
+// root group whose children are the member clusters, for BuildGridTree
+// — the one recursive build path of every grid.
 func (gp GridProfile) Tree() TopoNode {
 	root := TopoNode{Name: gp.Name, WAN: gp.WAN}
 	for _, m := range gp.Members {

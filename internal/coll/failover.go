@@ -46,7 +46,7 @@ import (
 // (src→root) and (root→dst) legs.
 //
 // With no faults the executor posts exactly the operation sequence of
-// AlltoallHierPlanned — same order, same tags, same sizes — so an empty
+// RunPlan — same order, same tags, same sizes — so an empty
 // fault schedule is behaviorally identical to the plain executor (the
 // timed waits arm extra timers, but those fire as no-ops).
 
@@ -200,7 +200,7 @@ func NewFailoverRun(plan *HierPlan, m int, cfg FailoverConfig) *FailoverRun {
 }
 
 // SetTrace records epoch-0 phase boundaries into pt (built for the base
-// plan), mirroring AlltoallHierPlannedTraced. Recovery epochs are not
+// plan), mirroring RunPlan's pt argument. Recovery epochs are not
 // traced: their plans have their own phase layouts.
 func (fr *FailoverRun) SetTrace(pt *PhaseTrace) { fr.trace = pt }
 

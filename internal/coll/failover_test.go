@@ -17,7 +17,7 @@ func failoverGrid(t *testing.T, nodesPer int, seed int64) (*cluster.Grid, TreeSp
 	t.Helper()
 	gp := cluster.Uniform("t-fo", cluster.GigabitEthernet(), 2, nodesPer,
 		cluster.DefaultWAN(10*sim.Millisecond))
-	g, err := cluster.BuildGrid(gp, seed)
+	g, err := cluster.BuildGridTree(gp.Tree(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFailoverNoFaultsMatchesPlain(t *testing.T) {
 		planA := PlanHierTree(specA, alg)
 		ptA := NewPhaseTrace(planA)
 		wA := mpi.NewWorld(gA.Env, mpi.Config{})
-		wA.Run(func(r *mpi.Rank) { AlltoallHierPlannedTraced(r, planA, 20_000, ptA) })
+		wA.Run(func(r *mpi.Rank) { RunPlan(r, planA, 20_000, ptA) })
 
 		gB, specB := failoverGrid(t, 3, 7)
 		planB := PlanHierTree(specB, alg)
@@ -178,7 +178,7 @@ func TestFailoverExactlyOnceProperty(t *testing.T) {
 		alg := HierAlgorithms[int(algPick)%len(HierAlgorithms)]
 		gp := cluster.Uniform("t-fop", cluster.GigabitEthernet(), 2, nodesPer,
 			cluster.DefaultWAN(10*sim.Millisecond))
-		g, err := cluster.BuildGrid(gp, seed)
+		g, err := cluster.BuildGridTree(gp.Tree(), seed)
 		if err != nil {
 			return false
 		}

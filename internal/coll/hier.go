@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 )
 
 // Hierarchical All-to-All for multi-cluster and multi-level grids. Flat
@@ -431,8 +430,7 @@ type hierMsg struct {
 type planOp struct {
 	peer   int
 	tag    int32
-	blocks int
-	msgIdx int // index into the plan's message list, for byte annotation
+	msgIdx int // index into the plan's message list, which sizes the payload
 }
 
 // hierPhase groups the operations a rank posts together and then waits
@@ -540,16 +538,9 @@ func (b *planBuilder) msg(from, fromPhase, to, toPhase int, blocks []Block) {
 	b.msgs = append(b.msgs, m)
 	idx := len(b.msgs) - 1
 	sp := b.phase(from, fromPhase)
-	sp.sends = append(sp.sends, planOp{peer: to, tag: tag, blocks: len(blocks), msgIdx: idx})
+	sp.sends = append(sp.sends, planOp{peer: to, tag: tag, msgIdx: idx})
 	rp := b.phase(to, toPhase)
-	rp.recvs = append(rp.recvs, planOp{peer: from, tag: tag, blocks: len(blocks), msgIdx: idx})
-}
-
-// PlanHier compiles the hierarchical All-to-All plan for a flat
-// two-level placement. It is sugar for PlanHierTree over FlatSpec: the
-// same recursive builder constructs every plan.
-func PlanHier(p Placement, alg HierAlgorithm) *HierPlan {
-	return PlanHierTree(FlatSpec(p), alg)
+	rp.recvs = append(rp.recvs, planOp{peer: from, tag: tag, msgIdx: idx})
 }
 
 // PlanHierTree compiles the hierarchical All-to-All plan for an
@@ -887,22 +878,4 @@ func (c *treeCompiler) build() {
 		}
 		c.b.msg(m.from, m.fromPhase, m.to, ph, m.blocks)
 	}
-}
-
-// AlltoallHierPlanned executes a compiled plan on the calling rank with
-// per-pair message size m. Every rank of the plan's topology must call
-// it with the same plan and m.
-func AlltoallHierPlanned(r *mpi.Rank, plan *HierPlan, m int) {
-	if plan.Place.NumRanks() != r.Size() {
-		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
-			plan.Place.NumRanks(), r.Size()))
-	}
-	runPlanPhases(r, plan, m, nil)
-}
-
-// AlltoallHier compiles and executes the hierarchical All-to-All. For
-// repeated measurements compile once with PlanHier and use
-// AlltoallHierPlanned instead.
-func AlltoallHier(r *mpi.Rank, place Placement, m int, alg HierAlgorithm) {
-	AlltoallHierPlanned(r, PlanHier(place, alg), m)
 }

@@ -154,7 +154,7 @@ func TestHierPlanPermutation(t *testing.T) {
 	for _, clusterOf := range placements {
 		place := NewPlacement(clusterOf)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHier(place, alg))
+			verifyHierPlan(t, PlanHierTree(FlatSpec(place), alg))
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestHierPlanPermutationRandom(t *testing.T) {
 		}
 		place := NewPlacement(clusterOf)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHier(place, alg))
+			verifyHierPlan(t, PlanHierTree(FlatSpec(place), alg))
 		}
 	}
 }
@@ -365,7 +365,7 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 	}
 
 	// hier-gather: 0 intra, 1 gather, 2 coordinator exchange, 3 scatter.
-	g := PlanHier(place, HierGather)
+	g := PlanHierTree(FlatSpec(place), HierGather)
 	for r := 0; r < 6; r++ {
 		if got := len(g.perRank[r]); got != 4 {
 			t.Fatalf("gather: rank %d has %d phases, want 4", r, got)
@@ -390,7 +390,7 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 
 	// hier-direct: members collapse to a single do-everything phase;
 	// coordinators keep 3 (intra+gathers, exchange, scatter).
-	d := PlanHier(place, HierDirect)
+	d := PlanHierTree(FlatSpec(place), HierDirect)
 	for _, r := range []int{1, 2, 4, 5} {
 		if got := len(d.perRank[r]); got != 1 {
 			t.Fatalf("direct: member %d has %d phases, want 1", r, got)
@@ -445,7 +445,7 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 func TestHierPlanAggregation(t *testing.T) {
 	place := NewPlacement([]int{0, 0, 0, 1, 1, 2})
 	for _, alg := range HierAlgorithms {
-		plan := PlanHier(place, alg)
+		plan := PlanHierTree(FlatSpec(place), alg)
 		cross := map[[2]int]int{}
 		for _, m := range plan.msgs {
 			cf, ct := place.Cluster(m.from), place.Cluster(m.to)
@@ -475,14 +475,14 @@ func TestHierAlltoallOnGrid(t *testing.T) {
 	gp := cluster.Uniform("t-hier", cluster.GigabitEthernet(), 2, 3,
 		cluster.DefaultWAN(10*sim.Millisecond))
 	for _, alg := range HierAlgorithms {
-		g, err := cluster.BuildGrid(gp, 5)
+		g, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		place := NewPlacement(g.ClusterOf)
-		plan := PlanHier(place, alg)
+		plan := PlanHierTree(FlatSpec(place), alg)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { AlltoallHierPlanned(r, plan, 20_000) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())
 		}
@@ -510,7 +510,7 @@ func TestHierTreeAlltoallOn3LevelGrid(t *testing.T) {
 			t.Fatalf("%v: plan height %d, want 2", alg, plan.Tree.Height())
 		}
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { AlltoallHierPlanned(r, plan, 20_000) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
 		if meas.Mean() <= 0.020 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one continental latency", alg, meas.Mean())
 		}
@@ -843,7 +843,7 @@ func TestHierAlltoallOnGridWithCoords(t *testing.T) {
 	gp := cluster.Uniform("t-hier-coords", cluster.WANTuned(cluster.GigabitEthernet()), 3, 3,
 		cluster.DefaultWAN(10*sim.Millisecond))
 	for _, alg := range HierAlgorithms {
-		g, err := cluster.BuildGrid(gp, 5)
+		g, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -851,7 +851,7 @@ func TestHierAlltoallOnGridWithCoords(t *testing.T) {
 		plan := PlanHierTree(spec, alg)
 		verifyHierPlan(t, plan)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { AlltoallHierPlanned(r, plan, 20_000) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())
 		}

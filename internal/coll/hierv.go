@@ -34,8 +34,8 @@ func PlanHierTreeV(spec TreeSpec, alg HierAlgorithm, sz SizeMatrix) *HierPlan {
 
 // BindSizes binds a size matrix to a compiled plan in place: each
 // message's payload becomes the sum of its blocks' (src, dst) entries,
-// and the plan then executes via AlltoallHierPlannedV. It errors when
-// the matrix's rank count does not match the plan's.
+// and RunPlan then ignores its m argument. It errors when the matrix's
+// rank count does not match the plan's.
 func (p *HierPlan) BindSizes(sz SizeMatrix) error {
 	if sz.NumRanks() != p.Place.NumRanks() {
 		return fmt.Errorf("coll: size matrix covers %d ranks, topology has %d",
@@ -54,16 +54,6 @@ func (p *HierPlan) BindSizes(sz SizeMatrix) error {
 	return nil
 }
 
-// PlanHierV compiles the hierarchical All-to-Allv plan for a flat
-// two-level placement. It is sugar for PlanHierTreeV over FlatSpec.
-func PlanHierV(p Placement, alg HierAlgorithm, sz SizeMatrix) *HierPlan {
-	return PlanHierTreeV(FlatSpec(p), alg, sz)
-}
-
-// Irregular reports whether the plan was compiled from a SizeMatrix
-// (PlanHierTreeV) and therefore executes via AlltoallHierPlannedV.
-func (p *HierPlan) Irregular() bool { return p.vbytes != nil }
-
 // MessageBytes returns the plan's total payload volume: per-block bytes
 // summed over every message (so a relayed byte counts once per hop).
 // For uniform plans the per-pair size m prices every block.
@@ -80,22 +70,6 @@ func (p *HierPlan) MessageBytes(m int) int {
 		t += len(msg.blocks) * m
 	}
 	return t
-}
-
-// AlltoallHierPlannedV executes a size-matrix-bound plan
-// (PlanHierTreeV) on the calling rank. Messages whose bound payload is
-// zero are skipped on both ends — a pair that owes no bytes pays no
-// start-up. Every rank of the plan's topology must call it with the
-// same plan.
-func AlltoallHierPlannedV(r *mpi.Rank, plan *HierPlan) {
-	if plan.vbytes == nil {
-		panic("coll: plan has no bound size matrix; compile with PlanHierTreeV")
-	}
-	if plan.Place.NumRanks() != r.Size() {
-		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
-			plan.Place.NumRanks(), r.Size()))
-	}
-	runPlanPhases(r, plan, 0, nil)
 }
 
 // EffectiveV resolves the algorithm that actually runs an irregular

@@ -10,7 +10,7 @@ import (
 )
 
 // verifyHierPlanV executes a size-matrix-bound plan symbolically, the
-// way AlltoallHierPlannedV runs it: messages whose bound payload is
+// way RunPlan runs it: messages whose bound payload is
 // zero do not exist (both endpoints skip them), every other message
 // must satisfy rendezvous-safe phase ordering. It checks:
 //
@@ -25,7 +25,7 @@ import (
 //     every nonzero block addressed to it.
 func verifyHierPlanV(t *testing.T, plan *HierPlan, sz SizeMatrix) {
 	t.Helper()
-	if !plan.Irregular() {
+	if plan.vbytes == nil || plan.Kind != KindAlltoallv {
 		t.Fatal("plan has no bound size matrix")
 	}
 	n := plan.Place.NumRanks()
@@ -314,21 +314,21 @@ func TestAlltoallHierPlannedVUniformMatchesUniform(t *testing.T) {
 	gp := cluster.Uniform("t-hierv-uni", cluster.WANTuned(cluster.GigabitEthernet()), 2, 3,
 		cluster.DefaultWAN(10*sim.Millisecond))
 	for _, alg := range HierAlgorithms {
-		g1, err := cluster.BuildGrid(gp, 5)
+		g1, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanHier(NewPlacement(g1.ClusterOf), alg)
+		plan := PlanHierTree(FlatSpec(NewPlacement(g1.ClusterOf)), alg)
 		w1 := mpi.NewWorld(g1.Env, mpi.Config{})
-		uni := Measure(w1, 0, 1, func(r *mpi.Rank) { AlltoallHierPlanned(r, plan, m) })
+		uni := Measure(w1, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, m, nil) })
 
-		g2, err := cluster.BuildGrid(gp, 5)
+		g2, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vplan := PlanHierV(NewPlacement(g2.ClusterOf), alg, UniformSizeMatrix(6, m))
+		vplan := PlanHierTreeV(FlatSpec(NewPlacement(g2.ClusterOf)), alg, UniformSizeMatrix(6, m))
 		w2 := mpi.NewWorld(g2.Env, mpi.Config{})
-		v := Measure(w2, 0, 1, func(r *mpi.Rank) { AlltoallHierPlannedV(r, vplan) })
+		v := Measure(w2, 0, 1, func(r *mpi.Rank) { RunPlan(r, vplan, 0, nil) })
 
 		if uni.Mean() != v.Mean() {
 			t.Fatalf("%v: v-executor with uniform matrix took %.6fs, uniform executor %.6fs",
@@ -361,24 +361,24 @@ func TestAlltoallVOnGrid(t *testing.T) {
 	}
 
 	for _, alg := range HierAlgorithms {
-		g, err := cluster.BuildGrid(gp, 5)
+		g, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanHierV(NewPlacement(g.ClusterOf), alg, hotspot)
+		plan := PlanHierTreeV(FlatSpec(NewPlacement(g.ClusterOf)), alg, hotspot)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { AlltoallHierPlannedV(r, plan) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 0, nil) })
 		if meas.Mean() <= 0.010 || meas.Mean() > 5 {
 			t.Fatalf("%v hotspot: implausible completion %.4fs", alg, meas.Mean())
 		}
 
-		g2, err := cluster.BuildGrid(gp, 5)
+		g2, err := cluster.BuildGridTree(gp.Tree(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan2 := PlanHierV(NewPlacement(g2.ClusterOf), alg, localOnly)
+		plan2 := PlanHierTreeV(FlatSpec(NewPlacement(g2.ClusterOf)), alg, localOnly)
 		w2 := mpi.NewWorld(g2.Env, mpi.Config{})
-		meas2 := Measure(w2, 0, 1, func(r *mpi.Rank) { AlltoallHierPlannedV(r, plan2) })
+		meas2 := Measure(w2, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan2, 0, nil) })
 		// The makespan includes the pre-measurement barrier's exit skew
 		// (its last dissemination hop crosses the 10 ms WAN), so "no WAN
 		// exchange traffic" shows up as ~one latency, not zero — but well
@@ -397,7 +397,7 @@ func TestAlltoallVOnGrid(t *testing.T) {
 		t.Fatalf("PostAll.EffectiveV() = %v, want PostAll", got)
 	}
 	for _, alg := range []Algorithm{Direct, PostAll} {
-		g, err := cluster.BuildGrid(gp, 7)
+		g, err := cluster.BuildGridTree(gp.Tree(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}

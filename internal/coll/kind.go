@@ -1,10 +1,6 @@
 package coll
 
-import (
-	"fmt"
-
-	"repro/internal/mpi"
-)
+import "fmt"
 
 // The collective suite on TreeSpec. PlanHierTree compiles the
 // hierarchical All-to-All; the other collectives a grid schedules —
@@ -271,48 +267,6 @@ func planRooted(spec TreeSpec, kind Kind, alg HierAlgorithm) *HierPlan {
 		p.kweights[i] = 1
 	}
 	return p
-}
-
-// RunKindPlanned executes a compiled per-kind plan on the calling rank:
-// per-rank message size m for uniform kinds, the bound matrix for
-// Alltoallv plans (m is then ignored). Every rank of the plan's
-// topology must call it with the same plan and m.
-func RunKindPlanned(r *mpi.Rank, plan *HierPlan, m int) {
-	RunKindPlannedTraced(r, plan, m, nil)
-}
-
-// RunKindPlannedTraced is RunKindPlanned recording the calling rank's
-// phase boundaries into pt (built for this plan); nil pt degenerates to
-// the untraced executor.
-func RunKindPlannedTraced(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
-	if plan.Place.NumRanks() != r.Size() {
-		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
-			plan.Place.NumRanks(), r.Size()))
-	}
-	runPlanPhases(r, plan, m, pt)
-}
-
-// RunKindFlat executes the flat (non-hierarchical) kernel of a kind:
-// the baseline the planner prices as FlatDirect. Rooted kinds use rank
-// 0, matching PlanKindTree. KindAlltoallv is rejected — flat irregular
-// exchanges go through AlltoallV.
-func RunKindFlat(r *mpi.Rank, kind Kind, m int, alg Algorithm) {
-	switch kind {
-	case KindAlltoall:
-		Alltoall(r, m, alg)
-	case KindAllgather:
-		Allgather(r, m)
-	case KindBroadcast:
-		Bcast(r, 0, m)
-	case KindReduce:
-		Reduce(r, 0, m)
-	case KindReduceScatter:
-		ReduceScatter(r, m)
-	case KindAllreduce:
-		Allreduce(r, m)
-	default:
-		panic(fmt.Sprintf("coll: no flat kernel for kind %s", kind))
-	}
 }
 
 // KindMsgBytes sizes a message carrying blocks under a kind's payload

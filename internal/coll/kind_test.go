@@ -3,6 +3,7 @@ package coll
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -226,7 +227,7 @@ func TestKindPlannedExecutionCompletes(t *testing.T) {
 			plan := PlanKindTree(GridSpec(g), kind, alg)
 			n := plan.Tree.NumRanks()
 			w := mpi.NewWorld(g.Env, mpi.Config{})
-			meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunKindPlanned(r, plan, m) })
+			meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, m, nil) })
 			if meas.Times[0] <= 0 {
 				t.Fatalf("%s/%v: no time elapsed", kind, alg)
 			}
@@ -256,13 +257,13 @@ func TestKindWireVolumeOrdering(t *testing.T) {
 	gp := cluster.Uniform("t-kindvol", p, 2, 4, cluster.DefaultWAN(10*sim.Millisecond))
 	const m = 10_000
 	vol := func(kind Kind) int64 {
-		g, err := cluster.BuildGrid(gp, 9)
+		g, err := cluster.BuildGridTree(gp.Tree(), 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := PlanKindTree(GridSpec(g), kind, HierGather)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		Measure(w, 0, 1, func(r *mpi.Rank) { RunKindPlanned(r, plan, m) })
+		Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, m, nil) })
 		return g.Env.Fabric.TotalStats().BytesSent
 	}
 	bcast, ag, ata := vol(KindBroadcast), vol(KindAllgather), vol(KindAlltoall)
@@ -280,7 +281,7 @@ func TestKindFailoverExactlyOnce(t *testing.T) {
 	gp := cluster.Uniform("t-kindfail", p, 2, 3, cluster.DefaultWAN(10*sim.Millisecond))
 	const m = 10_000
 	for _, kind := range suiteKinds {
-		g, err := cluster.BuildGrid(gp, 11)
+		g, err := cluster.BuildGridTree(gp.Tree(), 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +345,7 @@ func TestKindFailoverChaosProperty(t *testing.T) {
 		nodesPer := 2 + int(shape8>>4)%3
 		gp := cluster.Uniform("t-kindchaos", cluster.GigabitEthernet(), clusters, nodesPer,
 			cluster.DefaultWAN(10*sim.Millisecond))
-		g, err := cluster.BuildGrid(gp, seed)
+		g, err := cluster.BuildGridTree(gp.Tree(), seed)
 		if err != nil {
 			return false
 		}
@@ -403,5 +404,36 @@ func TestParseKindRoundTrips(t *testing.T) {
 	}
 	if _, err := ParseKind("gatherv"); err == nil {
 		t.Fatal("ParseKind accepted an unknown kind")
+	}
+}
+
+// TestWorkloadValidate pins the one input boundary of every runner:
+// each malformed workload is rejected with an error naming the field,
+// and the well-formed ones of every kind pass.
+func TestWorkloadValidate(t *testing.T) {
+	const n = 6
+	for _, k := range Kinds {
+		w := Uniform(k, 1<<10)
+		if k == KindAlltoallv {
+			w = Irregular(UniformSizeMatrix(n, 1<<10))
+		}
+		if err := w.Validate(n); err != nil {
+			t.Errorf("%v: well-formed workload rejected: %v", k, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		w    Workload
+		want string
+	}{
+		{"alltoallv-without-sizes", Uniform(KindAlltoallv, 1<<10), "no Sizes"},
+		{"uniform-with-sizes", Workload{Kind: KindAllgather, M: 8, Sizes: NewSizeMatrix(n)}, "carries a Sizes"},
+		{"negative-m", Uniform(KindAlltoall, -1), "negative M"},
+		{"matrix-rank-mismatch", Irregular(NewSizeMatrix(n - 1)), "covers 5 ranks, topology has 6"},
+		{"unknown-kind", Uniform(Kind(42), 8), "unknown collective kind 42"},
+	} {
+		if err := tc.w.Validate(n); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

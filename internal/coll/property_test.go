@@ -75,7 +75,7 @@ func TestFailoverChaosProperty(t *testing.T) {
 		nodesPer := 2 + int(shape8>>4)%3 // 2..4 nodes each
 		gp := cluster.Uniform("t-chaos", cluster.GigabitEthernet(), clusters, nodesPer,
 			cluster.DefaultWAN(10*sim.Millisecond))
-		g, err := cluster.BuildGrid(gp, seed)
+		g, err := cluster.BuildGridTree(gp.Tree(), seed)
 		if err != nil {
 			return false
 		}

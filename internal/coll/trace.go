@@ -132,38 +132,21 @@ func (p *HierPlan) PhaseLabel(i int) string {
 	return fmt.Sprintf("level-%d", i)
 }
 
-// AlltoallHierPlannedTraced executes a compiled uniform plan like
-// AlltoallHierPlanned while recording the calling rank's phase
-// boundaries into pt (which must have been built for this plan). A nil
-// pt degenerates to the untraced executor.
-func AlltoallHierPlannedTraced(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
+// RunPlan executes a compiled plan on the calling rank — the one
+// executor of every kind's hierarchical plan. Each phase posts its
+// receives and sends and waits for all of them; phases run in order on
+// each rank with no global barrier. Uniform plans size sends as
+// blocks·m (kweights·m for non-All-to-All kinds) and skip empty phases
+// outright; size-bound plans (BindSizes) ignore m and skip zero-byte
+// messages on both ends, so a pair that owes no bytes pays no start-up.
+// A non-nil pt (built for this plan) records the rank's phase
+// boundaries. Every rank of the plan's topology must call it with the
+// same plan and m.
+func RunPlan(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
 	if plan.Place.NumRanks() != r.Size() {
 		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
 			plan.Place.NumRanks(), r.Size()))
 	}
-	runPlanPhases(r, plan, m, pt)
-}
-
-// AlltoallHierPlannedVTraced executes a size-bound plan like
-// AlltoallHierPlannedV while recording the calling rank's phase
-// boundaries into pt. A nil pt degenerates to the untraced executor.
-func AlltoallHierPlannedVTraced(r *mpi.Rank, plan *HierPlan, pt *PhaseTrace) {
-	if plan.vbytes == nil {
-		panic("coll: plan has no bound size matrix; compile with PlanHierTreeV")
-	}
-	if plan.Place.NumRanks() != r.Size() {
-		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
-			plan.Place.NumRanks(), r.Size()))
-	}
-	runPlanPhases(r, plan, 0, pt)
-}
-
-// runPlanPhases is the shared phase loop of every plan executor: post
-// the phase's receives and sends, wait for all, record boundaries when
-// traced. Uniform plans (vbytes nil) size sends as blocks·m — or
-// kweights·m for non-All-to-All kinds — and skip empty phases
-// outright; size-bound plans skip zero-byte messages individually.
-func runPlanPhases(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
 	for pi, ph := range plan.perRank[r.ID()] {
 		if plan.vbytes == nil && len(ph.sends) == 0 && len(ph.recvs) == 0 {
 			continue
@@ -177,15 +160,9 @@ func runPlanPhases(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
 			qs = append(qs, r.Irecv(rv.peer, rv.tag))
 		}
 		for _, sd := range ph.sends {
-			b := sd.blocks * m
-			switch {
-			case plan.vbytes != nil:
-				b = plan.vbytes[sd.msgIdx]
-				if b == 0 {
-					continue
-				}
-			case plan.kweights != nil:
-				b = plan.kweights[sd.msgIdx] * m
+			b := plan.msgBytesAt(sd.msgIdx, m)
+			if plan.vbytes != nil && b == 0 {
+				continue
 			}
 			qs = append(qs, r.Isend(sd.peer, sd.tag, b))
 		}

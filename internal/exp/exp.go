@@ -1,6 +1,6 @@
 // Package exp defines and runs the paper's evaluation: one experiment
 // per figure (F2–F14), the signature parameter table (TA), the
-// ablations called out in DESIGN.md (AB1–AB3), the extensions
+// ablations listed in README.md (AB1–AB3), the extensions
 // (EX1–EX3), and the grid experiments (GR1 two-level, GR2 3-level, GR3
 // coordinator selection, GR4 irregular All-to-Allv, GR5 size-indexed
 // factor curves, GR6 failover and replan resilience, GR7 the collective

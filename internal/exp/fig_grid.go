@@ -4,9 +4,16 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
+
+// simRun is the ground-truth run every grid experiment validates
+// against: packet-level, cfg's repetitions, the default plan.
+func (cfg Config) simRun(seed int64) grid.SimRun {
+	return grid.SimRun{Seed: seed, Warmup: cfg.Warmup, Reps: cfg.Reps}
+}
 
 // GR1: the multi-cluster grid extension. A two-cluster Gigabit Ethernet
 // grid over a 20 ms WAN runs All-to-All under three strategies (flat
@@ -69,13 +76,13 @@ func init() {
 					simT := 0.0
 					simErr := false
 					for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-						one, err := grid.Simulate(topo, strat, m, seed, cfg.Warmup, cfg.Reps)
+						one, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, m), strat, cfg.simRun(seed))
 						if err != nil {
 							res.Note("m=%d %v: simulation failed: %v", m, strat, err)
 							simErr = true
 							break
 						}
-						simT += one / 2
+						simT += one.T / 2
 					}
 					if simErr {
 						continue

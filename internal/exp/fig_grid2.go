@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -76,13 +77,13 @@ func init() {
 					simT := 0.0
 					simErr := false
 					for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-						one, err := grid.Simulate(topo, strat, m, seed, cfg.Warmup, cfg.Reps)
+						one, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, m), strat, cfg.simRun(seed))
 						if err != nil {
 							res.Note("m=%d %v: simulation failed: %v", m, strat, err)
 							simErr = true
 							break
 						}
-						simT += one / 2
+						simT += one.T / 2
 					}
 					if simErr {
 						continue

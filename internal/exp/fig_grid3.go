@@ -76,18 +76,22 @@ func init() {
 			defT, selT := 0.0, 0.0
 			seeds := []int64{cfg.Seed + 6, cfg.Seed + 18}
 			for _, seed := range seeds {
-				d, err := grid.Simulate(topo, grid.HierGather, m, seed, cfg.Warmup, cfg.Reps)
+				w := coll.Uniform(coll.KindAlltoall, m)
+				d, err := grid.Run(topo, w, grid.HierGather, cfg.simRun(seed))
 				if err != nil {
 					res.Note("default simulation failed: %v", err)
 					return res
 				}
-				s, err := grid.SimulateSpec(topo, pl.PlanSpec(), coll.HierGather, m, seed, cfg.Warmup, cfg.Reps)
+				spec := pl.PlanSpec()
+				selected := cfg.simRun(seed)
+				selected.Spec = &spec
+				s, err := grid.Run(topo, w, grid.HierGather, selected)
 				if err != nil {
 					res.Note("selected simulation failed: %v", err)
 					return res
 				}
-				defT += d / float64(len(seeds))
-				selT += s / float64(len(seeds))
+				defT += d.T / float64(len(seeds))
+				selT += s.T / float64(len(seeds))
 			}
 			win.Rows = append(win.Rows, []float64{float64(m), defT, selT, 100 * (defT/selT - 1)})
 			res.Note("hier-gather at %d B: default %.3fs, selected %.3fs (%.0f%% faster)",
@@ -109,18 +113,17 @@ func init() {
 			for _, strat := range grid.Strategies {
 				simT := 0.0
 				for _, seed := range seeds {
-					var one float64
-					var err error
-					if alg, ok := grid.DescribeStrategy(strat); ok {
-						one, err = grid.SimulateSpec(topo, pl.PlanSpec(), alg, m, seed, cfg.Warmup, cfg.Reps)
-					} else {
-						one, err = grid.Simulate(topo, strat, m, seed, cfg.Warmup, cfg.Reps)
+					sr := cfg.simRun(seed)
+					if _, ok := grid.DescribeStrategy(strat); ok {
+						spec := pl.PlanSpec()
+						sr.Spec = &spec
 					}
+					one, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, m), strat, sr)
 					if err != nil {
 						res.Note("m=%d %v: simulation failed: %v", m, strat, err)
 						return res
 					}
-					simT += one / float64(len(seeds))
+					simT += one.T / float64(len(seeds))
 				}
 				pred := predOf[strat]
 				s.Rows = append(s.Rows, []float64{

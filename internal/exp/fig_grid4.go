@@ -81,13 +81,13 @@ func init() {
 						simT := 0.0
 						simErr := false
 						for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-							one, err := grid.SimulateV(tc.topo, strat, sz, seed, cfg.Warmup, cfg.Reps)
+							one, err := grid.Run(tc.topo, coll.Irregular(sz), strat, cfg.simRun(seed))
 							if err != nil {
 								res.Note("%s %s %v: simulation failed: %v", tc.name, name, strat, err)
 								simErr = true
 								break
 							}
-							simT += one / 2
+							simT += one.T / 2
 						}
 						if simErr {
 							continue

@@ -115,23 +115,26 @@ func init() {
 			res.Note("campus-0 coordinator: rank %d (host %s), standbys %v",
 				victim, victimHost, firstLeaf.Standbys)
 
-			sc := grid.SimConfig{Mode: cfg.SimMode}
 			timeout := 400 * sim.Millisecond
-			baseRes, baseT, err := grid.SimulateSpecFailover(tc, sc, topo, spec,
-				coll.HierGather, m, cfg.Seed+6, netsim.FaultSchedule{}, timeout)
+			w := coll.Uniform(coll.KindAlltoall, m)
+			sr := grid.SimRun{
+				Trace: tc, Sim: grid.SimConfig{Mode: cfg.SimMode}, Seed: cfg.Seed + 6,
+				Spec: &spec, Faults: &netsim.FaultSchedule{}, Timeout: timeout,
+			}
+			base, err := grid.Run(topo, w, grid.HierGather, sr)
 			if err != nil {
 				res.Note("fault-free run failed: %v", err)
 				return res
 			}
-			fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{
+			sr.Faults = &netsim.FaultSchedule{Nodes: []netsim.NodeFault{
 				{Host: victimHost, At: 25 * sim.Millisecond},
 			}}
-			failRes, failT, err := grid.SimulateSpecFailover(tc, sc, topo, spec,
-				coll.HierGather, m, cfg.Seed+6, fs, timeout)
+			fail, err := grid.Run(topo, w, grid.HierGather, sr)
 			if err != nil {
 				res.Note("faulted run failed: %v", err)
 				return res
 			}
+			baseRes, baseT, failRes, failT := base.Failover, base.T, fail.Failover, fail.T
 			fo := Series{
 				Name: "coordinator-failover",
 				Cols: []string{"msg_bytes", "baseline_s", "failover_s",

@@ -95,13 +95,13 @@ func init() {
 						simT := 0.0
 						simErr := false
 						for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-							one, err := grid.SimulateKind(tc.topo, kind, strat, m, seed, cfg.Warmup, cfg.Reps)
+							one, err := grid.Run(tc.topo, coll.Uniform(kind, m), strat, cfg.simRun(seed))
 							if err != nil {
 								res.Note("%s %v %v: simulation failed: %v", tc.name, kind, strat, err)
 								simErr = true
 								break
 							}
-							simT += one / 2
+							simT += one.T / 2
 						}
 						if simErr {
 							continue

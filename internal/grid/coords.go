@@ -103,7 +103,7 @@ func probeHeadroom(p cluster.Profile, nodes int, opt Options) []float64 {
 			}
 		}
 	})
-	addRunCounters(opt.Trace, cl)
+	addRunCounters(opt.Trace, CtrProbes, cl)
 	for pi, pr := range pairs {
 		if times[pi] <= 0 {
 			continue
@@ -562,56 +562,12 @@ func (pl *Planner) refitStrategyFactors(choices []CoordChoice) error {
 	probeModel := model.GridModel{Root: probeRoot}
 	spec := specFor(probeTopo, capped)
 
-	// Same batch/fold split as fitStrategyFactors: both strategies ×
-	// all sizes fan out across the worker pool, results fold in the
-	// legacy per-size order (ω, κ, overlap check) bit-identically.
-	hdProbes := make([]*probeRun, len(pl.opt.ProbeSizes))
-	hgProbes := make([]*probeRun, len(pl.opt.ProbeSizes))
-	for i, p := range pl.opt.ProbeSizes {
-		m := p
-		hdProbes[i] = &probeRun{baseSeed: pl.opt.Seed + 71, run: func(sd int64) (float64, error) {
-			return simulateSpecObsIn(pl.opt.Trace, pl.opt.simCfg(), probeTopo, spec, coll.HierDirect, m, sd, 1, pl.opt.Reps)
-		}}
-		hgProbes[i] = &probeRun{baseSeed: pl.opt.Seed + 89, run: func(sd int64) (float64, error) {
-			return simulateSpecObsIn(pl.opt.Trace, pl.opt.simCfg(), probeTopo, spec, coll.HierGather, m, sd, 1, pl.opt.Reps)
-		}}
+	omega, kappa, err := pl.probeStrategyFactors(sp, "refit", probeTopo, probeModel, &spec)
+	if err != nil {
+		return err
 	}
-	batch := make([]*probeRun, 0, 2*len(pl.opt.ProbeSizes))
-	for i := range pl.opt.ProbeSizes {
-		batch = append(batch, hdProbes[i], hgProbes[i])
-	}
-	runProbes(pl.opt.Workers, pl.opt.StableSpread, batch)
-
-	var omegaPts, kappaPts []model.FactorPoint
-	for i, p := range pl.opt.ProbeSizes {
-		hd, hg := hdProbes[i], hgProbes[i]
-		if hd.err != nil {
-			return hd.err
-		}
-		pl.recordProbe(sp, "omega", "", "refit", p, pl.opt.Seed+71, hd.times)
-		o := 1.0
-		if phase0, xchg, scatter := probeModel.HierDirectParts(p); xchg > 0 {
-			o = clampGamma((hd.median - phase0 - scatter) / xchg)
-		}
-		sp.Event("fit.point", obs.Str("factor", "omega"), obs.Int("size", p), obs.F64("value", o))
-		omegaPts = append(omegaPts, model.FactorPoint{Bytes: p, Factor: o})
-
-		if hg.err != nil {
-			return hg.err
-		}
-		pl.recordProbe(sp, "kappa", "", "refit", p, pl.opt.Seed+89, hg.times)
-		k := 1.0
-		if intra, xchg, local := probeModel.HierGatherParts(p); local > 0 {
-			k = clampGamma((hg.median - intra - xchg) / local)
-		}
-		sp.Event("fit.point", obs.Str("factor", "kappa"), obs.Int("size", p), obs.F64("value", k))
-		kappaPts = append(kappaPts, model.FactorPoint{Bytes: p, Factor: k})
-
-		pl.checkOverlap(sp, "refit", p, hd.times, hg.times)
-	}
-	pl.Model.OverlapGamma = model.CurveOf(omegaPts...)
-	pl.Model.GatherGamma = model.CurveOf(kappaPts...)
-	pl.sv.putStrategy(rkey, storedStrategy{Omega: pl.Model.OverlapGamma, Kappa: pl.Model.GatherGamma})
+	pl.Model.OverlapGamma, pl.Model.GatherGamma = omega, kappa
+	pl.sv.putStrategy(rkey, storedStrategy{Omega: omega, Kappa: kappa})
 	return nil
 }
 
@@ -637,38 +593,6 @@ func selectionKey(choices []CoordChoice) string {
 		}
 	}
 	return b.String()
-}
-
-// SimulateSpec builds the topology and measures one hierarchical
-// algorithm's All-to-All compiled from an explicit plan spec (e.g.
-// PlanSpec's selected coordinators) in full packet-level simulation —
-// the ground truth that validates a coordinator choice.
-func SimulateSpec(topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateSpecObs(nil, topo, spec, alg, m, seed, warmup, reps)
-}
-
-// simulateSpecObs is SimulateSpec with an optional trace collector, the
-// refit probes' counterpart of simulateObs.
-func simulateSpecObs(c *obs.Collector, topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateSpecObsIn(c, SimConfig{}, topo, spec, alg, m, seed, warmup, reps)
-}
-
-// simulateSpecObsIn is simulateSpecObs under an explicit engine
-// selection.
-func simulateSpecObsIn(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, err
-	}
-	applySimConfig(g, sc)
-	plan := coll.PlanHierTree(spec, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return 0, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	return measureEnv(c, g.Env, warmup, reps, func(r *mpi.Rank) {
-		coll.AlltoallHierPlanned(r, plan, m)
-	}), nil
 }
 
 // DescribeStrategy maps a planner strategy to the coll algorithm it

@@ -153,10 +153,7 @@ func TestPlannerAllZeroMatrixDegenerates(t *testing.T) {
 		}
 	}
 	for _, strat := range Strategies {
-		simT, err := SimulateV(topo, strat, zero, 7, 0, 1)
-		if err != nil {
-			t.Fatalf("%v: all-zero simulation failed: %v", strat, err)
-		}
+		simT := simulate(t, topo, coll.Irregular(zero), strat, nil, 7, 0, 1)
 		if !isFinite(simT) || simT < 0 {
 			t.Fatalf("%v: all-zero simulated time %v", strat, simT)
 		}

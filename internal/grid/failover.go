@@ -3,7 +3,7 @@ package grid
 import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
-	"repro/internal/netsim"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -22,26 +22,48 @@ const (
 	CtrFailoverDeclared = "failover.declared"
 )
 
-// SimulateSpecFailover builds the topology, arms the fault schedule on
-// its network, and executes one hierarchical plan (compiled from spec,
-// e.g. Planner.PlanSpec with its coordinator and standby annotations)
-// under the epoch-failover runtime: rendezvous timeouts are checked
-// against the schedule's ground truth, confirmed-dead coordinators are
-// replaced by the spec's ranked standbys, and delivery stays
-// exactly-once among survivors (coll.FailoverRun). It returns the
-// failover result and the completion time of the latest surviving rank
-// in seconds. A zero timeout takes the runtime's default. The run is
-// counted under planner.validations; declarations and epochs land on
-// the collector as events inside a failover.run span.
-//
-// An error is returned for a malformed topology or schedule, and also
-// when the run finishes but violates its own delivery invariants — the
-// result is still returned alongside for diagnosis.
-func SimulateSpecFailover(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, m int, seed int64, fs netsim.FaultSchedule, timeout sim.Time) (coll.FailoverResult, float64, error) {
-	// All-to-All is one kind of the collective suite: the kind-general
-	// runner compiles the identical plan (coll.PlanKindTree pins
-	// KindAlltoall to coll.PlanHierTree) and runs the identical failover
-	// runtime, so this delegation changes nothing but the span's kind
-	// attribute.
-	return SimulateSpecKindFailover(c, sc, topo, spec, coll.KindAlltoall, alg, m, seed, fs, timeout)
+// runFailover is Run's SimRun.Faults mode: it arms the fault schedule
+// on the built network and executes the compiled plan once under the
+// epoch-failover runtime — rendezvous timeouts are checked against the
+// schedule's ground truth, confirmed-dead coordinators are replaced by
+// the spec's ranked standbys, recovery replans compile per kind, and
+// delivery stays exactly-once among survivors, verified against the
+// kind's own block universe (coll.FailoverRun). Declarations and epochs
+// land on the collector as events inside a failover.run span.
+func runFailover(g *cluster.Grid, topoName string, plan *coll.HierPlan, w coll.Workload, sr SimRun, counter string) (RunResult, error) {
+	c, fs := sr.Trace, *sr.Faults
+	if err := g.Env.Net.ApplyFaults(fs); err != nil {
+		return RunResult{}, err
+	}
+	g.Env.Net.AttachCollector(c)
+	sp := c.Span(SpanFailover, obs.Str("topo", topoName), obs.Str("kind", w.Kind.String()),
+		obs.Int("m", w.M), obs.Int("link_faults", len(fs.Links)), obs.Int("node_faults", len(fs.Nodes)))
+	fr := coll.NewFailoverRun(plan, w.M, coll.FailoverConfig{
+		Timeout: sr.Timeout,
+		IsDead: func(rank int) bool {
+			return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now())
+		},
+		Quench: func(rank int) { g.Env.Fabric.Quench(rank) },
+		OnDeclare: func(rank, epoch int, now sim.Time) {
+			c.Add(CtrFailoverDeclared, 1)
+			sp.Event(EvFailoverDeclare, obs.Int("rank", rank), obs.Int("epoch", epoch),
+				obs.F64("t", now.Seconds()))
+		},
+		OnEpoch: func(epoch int, now sim.Time) {
+			c.Add(CtrFailoverEpochs, 1)
+			sp.Event(EvFailoverEpoch, obs.Int("epoch", epoch), obs.F64("t", now.Seconds()))
+		},
+	})
+	mpi.NewWorld(g.Env, mpi.Config{}).Run(func(r *mpi.Rank) { fr.Run(r) })
+	res := fr.Result()
+	var tEnd sim.Time
+	for _, ft := range res.FinishAt {
+		if ft > tEnd {
+			tEnd = ft
+		}
+	}
+	addRunCounters(c, counter, g.Env)
+	sp.End(obs.Int("epochs", res.Epochs), obs.Int("dead", len(res.Dead)),
+		obs.Int("delivered", res.DeliveredBlocks), obs.Int("waived", res.WaivedBlocks))
+	return RunResult{T: tEnd.Seconds(), Failover: res}, fr.Verify()
 }

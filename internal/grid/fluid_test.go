@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -43,16 +44,19 @@ func TestFluidPacketAgreement(t *testing.T) {
 			for _, st := range Strategies {
 				var pt, ft float64
 				for _, seed := range seeds {
-					p, err := Simulate(topo, st, m, seed, 1, 1)
+					w := coll.Uniform(coll.KindAlltoall, m)
+					sr := SimRun{Seed: seed, Warmup: 1, Reps: 1}
+					p, err := Run(topo, w, st, sr)
 					if err != nil {
 						t.Fatal(err)
 					}
-					f, err := SimulateIn(fluidCfg(), topo, st, m, seed, 1, 1)
+					sr.Sim = fluidCfg()
+					f, err := Run(topo, w, st, sr)
 					if err != nil {
 						t.Fatal(err)
 					}
-					pt += p
-					ft += f
+					pt += p.T
+					ft += f.T
 				}
 				relErr := (ft - pt) / pt
 				t.Logf("%s m=%dk %-12s packet=%.4fs fluid=%.4fs err=%+.1f%%",
@@ -68,30 +72,6 @@ func TestFluidPacketAgreement(t *testing.T) {
 	}
 	if mean := sumAbs / float64(rows); mean > 0.20 {
 		t.Errorf("mean |error| over %d rows = %.1f%%, limit 20%%", rows, 100*mean)
-	}
-}
-
-// TestFluidBelowThresholdBitIdentical pins the fallback boundary: a
-// collective whose transfers all sit at or below the fluid threshold
-// must simulate bit-identically under fluid mode, because every message
-// takes the packet path. The threshold applies to transport-level
-// message size, which includes the mpi envelope (64 bytes on top of
-// the payload), so payload sizes here leave envelope headroom below
-// the 32 KiB default rather than sitting exactly on it.
-func TestFluidBelowThresholdBitIdentical(t *testing.T) {
-	topo := testTopo()
-	for _, m := range []int{8 << 10, 24 << 10} {
-		pt, err := Simulate(topo, FlatDirect, m, 11, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ft, err := SimulateIn(fluidCfg(), topo, FlatDirect, m, 11, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt != ft {
-			t.Fatalf("m=%d at/below threshold diverged: packet %v, fluid %v", m, pt, ft)
-		}
 	}
 }
 

@@ -6,10 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/model"
-	"repro/internal/mpi"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Per-kind planning: the collective suite (coll.PlanKindTree) through
@@ -23,9 +20,9 @@ import (
 // predictions, plans and store records stay bit-identical to the
 // pre-suite planner.
 
-// SpanSimulateKind wraps one traced per-kind plan execution
-// (SimulateSpecKindTraced); cmd/tracecheck's -span flag can assert its
-// presence in a trace.
+// SpanSimulateKind wraps one phase-traced plan execution of a kind
+// other than All-to-All(v) (Run with SimRun.Phases); cmd/tracecheck's
+// -span flag can assert its presence in a trace.
 const SpanSimulateKind = "simulate.kind"
 
 // StrategiesFor lists the candidate strategies of a collective kind.
@@ -87,7 +84,7 @@ func (pl *Planner) kindFactor(kind coll.Kind) (model.FactorCurve, error) {
 	for i, p := range opt.ProbeSizes {
 		m := p
 		probes[i] = &probeRun{baseSeed: opt.Seed + 131, run: func(sd int64) (float64, error) {
-			return simulateKindObsIn(opt.Trace, opt.simCfg(), probeTopo, kind, HierGather, m, sd, 1, opt.Reps)
+			return opt.probe(probeTopo, coll.Uniform(kind, m), HierGather, nil, sd)
 		}}
 	}
 	runProbes(opt.Workers, opt.StableSpread, probes)
@@ -171,146 +168,4 @@ func (pl *Planner) SelectCoordinatorsKind(kind coll.Kind, m int) ([]CoordChoice,
 	return pl.selectCoordinators(func() float64 {
 		return pl.Model.PredictKindHier(kind, m)
 	})
-}
-
-// SimulateKind builds the topology and measures one strategy's
-// execution of the kind in full packet-level simulation — the ground
-// truth for validating PredictKind rankings (GR7). FlatDirect runs the
-// kind's flat kernel (coll.RunKindFlat); the hierarchical strategies
-// compile the kind's plan over the default (lowest-rank) coordinator
-// tree and execute it with coll.RunKindPlanned.
-func SimulateKind(topo cluster.TopoNode, kind coll.Kind, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateKindObsIn(nil, SimConfig{}, topo, kind, strat, m, seed, warmup, reps)
-}
-
-// simulateKindObsIn is SimulateKind with an optional trace collector
-// and explicit engine selection — the funnel the per-kind calibration
-// probes run through, so they feed planner.probes like every other
-// characterization simulation.
-func simulateKindObsIn(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, kind coll.Kind, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, err
-	}
-	applySimConfig(g, sc)
-	var op func(r *mpi.Rank)
-	switch strat {
-	case FlatDirect:
-		op = func(r *mpi.Rank) { coll.RunKindFlat(r, kind, m, coll.Direct) }
-	case HierGather, HierDirect:
-		alg := coll.HierGather
-		if strat == HierDirect {
-			alg = coll.HierDirect
-		}
-		plan := coll.PlanKindTree(coll.GridSpec(g), kind, alg)
-		op = func(r *mpi.Rank) { coll.RunKindPlanned(r, plan, m) }
-	default:
-		return 0, fmt.Errorf("grid: unknown strategy %v", strat)
-	}
-	return measureEnv(c, g.Env, warmup, reps, op), nil
-}
-
-// SimulateSpecKind builds the topology and measures one kind's plan
-// compiled from an explicit plan spec (e.g. PlanSpec's selected
-// coordinators) in full packet-level simulation.
-func SimulateSpecKind(topo cluster.TopoNode, spec coll.TreeSpec, kind coll.Kind, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, error) {
-	t, _, err := simulateSpecKind(nil, topo, spec, kind, alg, m, seed, warmup, reps, false)
-	return t, err
-}
-
-// SimulateSpecKindTraced is SimulateSpecKind with execution tracing: it
-// wraps the run in a simulate.kind span (see SpanSimulateKind), records
-// the plan's per-phase spans, and counts the run under
-// planner.validations — a warm-store planner run that re-simulates its
-// chosen kind plan still reports planner.probes = 0.
-func SimulateSpecKindTraced(c *obs.Collector, topo cluster.TopoNode, spec coll.TreeSpec, kind coll.Kind, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, []coll.PhaseSpan, error) {
-	return simulateSpecKind(c, topo, spec, kind, alg, m, seed, warmup, reps, true)
-}
-
-func simulateSpecKind(c *obs.Collector, topo cluster.TopoNode, spec coll.TreeSpec, kind coll.Kind, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int, traced bool) (float64, []coll.PhaseSpan, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, nil, err
-	}
-	plan := coll.PlanKindTree(spec, kind, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return 0, nil, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	if !traced {
-		return measureEnvAs(c, CtrValidations, g.Env, warmup, reps, func(r *mpi.Rank) {
-			coll.RunKindPlanned(r, plan, m)
-		}), nil, nil
-	}
-	sp := c.Span(SpanSimulateKind,
-		obs.Str("kind", kind.String()), obs.Str("topo", topo.Name), obs.Int("m", m))
-	pt := coll.NewPhaseTrace(plan)
-	t := measureEnvAs(c, CtrValidations, g.Env, warmup, reps, func(r *mpi.Rank) {
-		coll.RunKindPlannedTraced(r, plan, m, pt)
-	})
-	spans := pt.Spans()
-	for _, ps := range spans {
-		sp.Event("phase",
-			obs.Int("phase", ps.Phase), obs.Str("label", ps.Label),
-			obs.F64("start_s", ps.Start), obs.F64("end_s", ps.End),
-			obs.F64("dur_s", ps.Dur()), obs.Int("ranks", ps.Ranks))
-	}
-	sp.End(obs.F64("t_s", t))
-	return t, spans, nil
-}
-
-// SimulateSpecKindFailover is SimulateSpecFailover for any collective
-// kind: the kind's plan compiles from the spec (coordinators and ranked
-// standbys annotated) and executes under the epoch-failover runtime,
-// with recovery replans compiled per kind and delivery verified against
-// the kind's own block universe.
-func SimulateSpecKindFailover(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, spec coll.TreeSpec, kind coll.Kind, alg coll.HierAlgorithm, m int, seed int64, fs netsim.FaultSchedule, timeout sim.Time) (coll.FailoverResult, float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return coll.FailoverResult{}, 0, err
-	}
-	applySimConfig(g, sc)
-	plan := coll.PlanKindTree(spec, kind, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return coll.FailoverResult{}, 0, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	if err := g.Env.Net.ApplyFaults(fs); err != nil {
-		return coll.FailoverResult{}, 0, err
-	}
-	g.Env.Net.AttachCollector(c)
-	sp := c.Span(SpanFailover, obs.Str("topo", topo.Name), obs.Str("kind", kind.String()),
-		obs.Int("m", m), obs.Int("link_faults", len(fs.Links)), obs.Int("node_faults", len(fs.Nodes)))
-	fr := coll.NewFailoverRun(plan, m, coll.FailoverConfig{
-		Timeout: timeout,
-		IsDead: func(rank int) bool {
-			return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now())
-		},
-		Quench: func(rank int) { g.Env.Fabric.Quench(rank) },
-		OnDeclare: func(rank, epoch int, now sim.Time) {
-			c.Add(CtrFailoverDeclared, 1)
-			sp.Event(EvFailoverDeclare, obs.Int("rank", rank), obs.Int("epoch", epoch),
-				obs.F64("t", now.Seconds()))
-		},
-		OnEpoch: func(epoch int, now sim.Time) {
-			c.Add(CtrFailoverEpochs, 1)
-			sp.Event(EvFailoverEpoch, obs.Int("epoch", epoch), obs.F64("t", now.Seconds()))
-		},
-	})
-	w := mpi.NewWorld(g.Env, mpi.Config{})
-	w.Run(func(r *mpi.Rank) { fr.Run(r) })
-	res := fr.Result()
-	var tEnd sim.Time
-	for _, ft := range res.FinishAt {
-		if ft > tEnd {
-			tEnd = ft
-		}
-	}
-	addRunCountersAs(c, CtrValidations, g.Env)
-	sp.End(obs.Int("epochs", res.Epochs), obs.Int("dead", len(res.Dead)),
-		obs.Int("delivered", res.DeliveredBlocks), obs.Int("waived", res.WaivedBlocks))
-	if err := fr.Verify(); err != nil {
-		return res, tEnd.Seconds(), err
-	}
-	return res, tEnd.Seconds(), nil
 }

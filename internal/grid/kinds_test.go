@@ -233,7 +233,7 @@ func TestKindFailoverOnPlannedSpec(t *testing.T) {
 		fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{
 			{Host: hostName, At: 15 * sim.Millisecond},
 		}}
-		res, tEnd, err := SimulateSpecKindFailover(c, SimConfig{}, topo, spec, k, coll.HierGather,
+		res, tEnd, err := runFaulted(c, SimConfig{}, topo, spec, k,
 			32<<10, opt.Seed, fs, 250*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -378,11 +378,13 @@ func TestKindTracedValidationEmitsSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := obs.New()
-	tt, spans, err := SimulateSpecKindTraced(c, topo, pl.PlanSpec(), coll.KindAllreduce,
-		coll.HierGather, 32<<10, opt.Seed, 0, 1)
+	spec := pl.PlanSpec()
+	res, err := Run(topo, coll.Uniform(coll.KindAllreduce, 32<<10), HierGather,
+		SimRun{Trace: c, Seed: opt.Seed, Reps: 1, Spec: &spec, Phases: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tt, spans := res.T, res.Phases
 	if tt <= 0 {
 		t.Fatalf("nonpositive traced time %v", tt)
 	}

@@ -298,6 +298,16 @@ func (o Options) simCfg() SimConfig {
 	return SimConfig{Mode: o.SimMode, FluidThreshold: o.FluidThreshold}
 }
 
+// probe runs one characterization simulation through the Run pipeline
+// under the planner's collector, engine and repetition settings,
+// counted under planner.probes. spec is nil for the default plan.
+func (o Options) probe(topo cluster.TopoNode, w coll.Workload, strat Strategy, spec *coll.TreeSpec, seed int64) (float64, error) {
+	res, err := run(topo, w, strat, SimRun{
+		Trace: o.Trace, Sim: o.simCfg(), Seed: seed, Warmup: 1, Reps: o.Reps, Spec: spec,
+	}, CtrProbes)
+	return res.T, err
+}
+
 // applySimConfig arms the selected engine on a freshly built grid.
 func applySimConfig(g *cluster.Grid, sc SimConfig) {
 	if sc.Mode == sim.ModeFluid {
@@ -453,7 +463,7 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 		parallelDo(opt.Workers, len(opt.FitSizes), func(i int) {
 			m := opt.FitSizes[i]
 			cl := cluster.Build(p, opt.FitN, opt.Seed+int64(i)*101)
-			times[i] = measureEnv(opt.Trace, cl, 1, opt.Reps, func(r *mpi.Rank) {
+			times[i] = measureEnv(opt.Trace, CtrProbes, cl, 1, opt.Reps, func(r *mpi.Rank) {
 				coll.Alltoall(r, m, coll.PostAll)
 			})
 		})
@@ -632,7 +642,7 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 			}
 		}
 	})
-	addRunCounters(opt.Trace, g.Env)
+	addRunCounters(opt.Trace, CtrProbes, g.Env)
 	curve := make([]model.WANPoint, 0, len(sizes))
 	for _, m := range sizes {
 		ts := times[m]
@@ -785,8 +795,8 @@ func clampGamma(v float64) float64 {
 // (bounded at five) and the median widens to all samples. Stable
 // probes pay three simulations, seed-lottery ones five.
 //
-// Both the initial fits (Simulate) and the post-selection refits
-// (SimulateSpec, internal/grid/coords.go) share this one harness, so
+// Both the initial fits and the post-selection refits
+// (internal/grid/coords.go) share this one harness, so
 // the statistic and seed schedule cannot drift apart. The raw per-seed
 // times come back in probeSeeds order for dispersion diagnostics
 // (recordProbe); given the same baseSeed and closure behavior, the
@@ -860,7 +870,7 @@ func (pl *Planner) fitTierGammas(topo cluster.TopoNode, mod *model.ModelNode, ca
 	for i, p := range opt.ProbeSizes {
 		m := p
 		probes[i] = &probeRun{baseSeed: opt.Seed + 53, run: func(sd int64) (float64, error) {
-			return simulateObsIn(opt.Trace, opt.simCfg(), probeTopo, FlatDirect, m, sd, 1, opt.Reps)
+			return opt.probe(probeTopo, coll.Uniform(coll.KindAlltoall, m), FlatDirect, nil, sd)
 		}}
 	}
 	runProbes(opt.Workers, opt.StableSpread, probes)
@@ -914,23 +924,34 @@ func (pl *Planner) fitStrategyFactors(topo cluster.TopoNode, gm model.GridModel,
 	sp := parent.Span("planner.fit_strategy", obs.Int("probe_cap", opt.ProbeCap))
 	defer sp.End()
 
-	// Both strategies × all sizes fan out as one probe batch; results
-	// are then folded in the legacy order (per size: ω probe, κ probe,
-	// overlap check) so events, ProbeStats and Warnings are
-	// bit-identical to sequential runs.
+	omega, kappa, err = pl.probeStrategyFactors(sp, "characterize", probeTopo, probeModel, nil)
+	if err != nil {
+		return model.FactorCurve{}, model.FactorCurve{}, err
+	}
+	pl.sv.putStrategy(skey, storedStrategy{Omega: omega, Kappa: kappa})
+	return omega, kappa, nil
+}
+
+// probeStrategyFactors runs the ω (hier-direct) and κ (hier-gather)
+// probes of one fit stage ("characterize", or "refit" with the selected
+// spec) on the capped probe grid and inverts probeModel's
+// decompositions for one factor point per probe size. Both strategies ×
+// all sizes fan out as one probe batch; results are then folded in the
+// sequential order (per size: ω probe, κ probe, overlap check) so
+// events, ProbeStats and Warnings are bit-identical to sequential runs.
+func (pl *Planner) probeStrategyFactors(sp *obs.Span, stage string, probeTopo cluster.TopoNode, probeModel model.GridModel, spec *coll.TreeSpec) (omega, kappa model.FactorCurve, err error) {
+	opt := pl.opt
 	hdProbes := make([]*probeRun, len(opt.ProbeSizes))
 	hgProbes := make([]*probeRun, len(opt.ProbeSizes))
+	batch := make([]*probeRun, 0, 2*len(opt.ProbeSizes))
 	for i, p := range opt.ProbeSizes {
-		m := p
+		w := coll.Uniform(coll.KindAlltoall, p)
 		hdProbes[i] = &probeRun{baseSeed: opt.Seed + 71, run: func(sd int64) (float64, error) {
-			return simulateObsIn(opt.Trace, opt.simCfg(), probeTopo, HierDirect, m, sd, 1, opt.Reps)
+			return opt.probe(probeTopo, w, HierDirect, spec, sd)
 		}}
 		hgProbes[i] = &probeRun{baseSeed: opt.Seed + 89, run: func(sd int64) (float64, error) {
-			return simulateObsIn(opt.Trace, opt.simCfg(), probeTopo, HierGather, m, sd, 1, opt.Reps)
+			return opt.probe(probeTopo, w, HierGather, spec, sd)
 		}}
-	}
-	batch := make([]*probeRun, 0, 2*len(opt.ProbeSizes))
-	for i := range opt.ProbeSizes {
 		batch = append(batch, hdProbes[i], hgProbes[i])
 	}
 	runProbes(opt.Workers, opt.StableSpread, batch)
@@ -941,7 +962,7 @@ func (pl *Planner) fitStrategyFactors(topo cluster.TopoNode, gm model.GridModel,
 		if hd.err != nil {
 			return model.FactorCurve{}, model.FactorCurve{}, hd.err
 		}
-		pl.recordProbe(sp, "omega", "", "characterize", p, opt.Seed+71, hd.times)
+		pl.recordProbe(sp, "omega", "", stage, p, opt.Seed+71, hd.times)
 		o := 1.0
 		if phase0, xchg, scatter := probeModel.HierDirectParts(p); xchg > 0 {
 			o = clampGamma((hd.median - phase0 - scatter) / xchg)
@@ -952,7 +973,7 @@ func (pl *Planner) fitStrategyFactors(topo cluster.TopoNode, gm model.GridModel,
 		if hg.err != nil {
 			return model.FactorCurve{}, model.FactorCurve{}, hg.err
 		}
-		pl.recordProbe(sp, "kappa", "", "characterize", p, opt.Seed+89, hg.times)
+		pl.recordProbe(sp, "kappa", "", stage, p, opt.Seed+89, hg.times)
 		k := 1.0
 		if intra, xchg, local := probeModel.HierGatherParts(p); local > 0 {
 			k = clampGamma((hg.median - intra - xchg) / local)
@@ -960,11 +981,9 @@ func (pl *Planner) fitStrategyFactors(topo cluster.TopoNode, gm model.GridModel,
 		sp.Event("fit.point", obs.Str("factor", "kappa"), obs.Int("size", p), obs.F64("value", k))
 		kappaPts = append(kappaPts, model.FactorPoint{Bytes: p, Factor: k})
 
-		pl.checkOverlap(sp, "characterize", p, hd.times, hg.times)
+		pl.checkOverlap(sp, stage, p, hd.times, hg.times)
 	}
-	omega, kappa = model.CurveOf(omegaPts...), model.CurveOf(kappaPts...)
-	pl.sv.putStrategy(skey, storedStrategy{Omega: omega, Kappa: kappa})
-	return omega, kappa, nil
+	return model.CurveOf(omegaPts...), model.CurveOf(kappaPts...), nil
 }
 
 // Prediction is one strategy's predicted completion time.
@@ -996,8 +1015,8 @@ func (pl *Planner) Best(m int) Prediction { return pl.Predict(m)[0] }
 // must match the planner's topology (contiguous leaf blocks in tree
 // order, as BuildGridTree assigns them) — a mismatch panics, a
 // programming error like Predict on a foreign model; the v-APIs that
-// accept external input (SelectCoordinatorsV, SimulateV, SimulateSpecV)
-// validate and return errors instead.
+// accept external input (SelectCoordinatorsV, Run) validate and return
+// errors instead.
 func (pl *Planner) PredictV(sz coll.SizeMatrix) []Prediction {
 	out := []Prediction{
 		{FlatDirect, pl.Model.PredictFlatV(sz)},
@@ -1010,100 +1029,3 @@ func (pl *Planner) PredictV(sz coll.SizeMatrix) []Prediction {
 
 // BestV returns the predicted-fastest strategy for the size matrix sz.
 func (pl *Planner) BestV(sz coll.SizeMatrix) Prediction { return pl.PredictV(sz)[0] }
-
-// Simulate builds the topology and measures one strategy's All-to-All
-// completion time in full packet-level simulation — the planner's ground
-// truth for validation.
-func Simulate(topo cluster.TopoNode, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateObs(nil, topo, strat, m, seed, warmup, reps)
-}
-
-// SimulateIn is Simulate under an explicit engine selection: the fluid
-// agreement tests and benchmarks compare SimulateIn(fluid) against the
-// packet-mode Simulate on identical arguments.
-func SimulateIn(cfg SimConfig, topo cluster.TopoNode, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateObsIn(nil, cfg, topo, strat, m, seed, warmup, reps)
-}
-
-// simulateObs is Simulate with an optional trace collector: the
-// planner's probe loops route through it so probe simulations feed the
-// aggregate counters (probe count, sim events, transport recovery).
-func simulateObs(c *obs.Collector, topo cluster.TopoNode, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	return simulateObsIn(c, SimConfig{}, topo, strat, m, seed, warmup, reps)
-}
-
-// simulateObsIn is simulateObs under an explicit engine selection.
-func simulateObsIn(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, strat Strategy, m int, seed int64, warmup, reps int) (float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, err
-	}
-	applySimConfig(g, sc)
-	var op func(r *mpi.Rank)
-	switch strat {
-	case FlatDirect:
-		op = func(r *mpi.Rank) { coll.Alltoall(r, m, coll.Direct) }
-	case HierGather, HierDirect:
-		alg := coll.HierGather
-		if strat == HierDirect {
-			alg = coll.HierDirect
-		}
-		plan := coll.PlanHierTree(coll.GridSpec(g), alg)
-		op = func(r *mpi.Rank) { coll.AlltoallHierPlanned(r, plan, m) }
-	default:
-		return 0, fmt.Errorf("grid: unknown strategy %v", strat)
-	}
-	return measureEnv(c, g.Env, warmup, reps, op), nil
-}
-
-// SimulateV builds the topology and measures one strategy's irregular
-// All-to-Allv completion time in full packet-level simulation — the
-// ground truth for validating PredictV rankings (GR4). Flat direct runs
-// coll.AlltoallV; the hierarchical strategies compile the size matrix
-// into the plan with coll.PlanHierTreeV.
-func SimulateV(topo cluster.TopoNode, strat Strategy, sz coll.SizeMatrix, seed int64, warmup, reps int) (float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, err
-	}
-	if sz.NumRanks() != len(g.Env.Hosts) {
-		return 0, fmt.Errorf("grid: size matrix covers %d ranks, topology has %d",
-			sz.NumRanks(), len(g.Env.Hosts))
-	}
-	var op func(r *mpi.Rank)
-	switch strat {
-	case FlatDirect:
-		op = func(r *mpi.Rank) { coll.AlltoallV(r, sz, coll.Direct) }
-	case HierGather, HierDirect:
-		alg, _ := DescribeStrategy(strat)
-		plan := coll.PlanHierTreeV(coll.GridSpec(g), alg, sz)
-		op = func(r *mpi.Rank) { coll.AlltoallHierPlannedV(r, plan) }
-	default:
-		return 0, fmt.Errorf("grid: unknown strategy %v", strat)
-	}
-	w := mpi.NewWorld(g.Env, mpi.Config{})
-	return coll.Measure(w, warmup, reps, op).Mean(), nil
-}
-
-// SimulateSpecV builds the topology and measures one hierarchical
-// algorithm's All-to-Allv compiled from an explicit plan spec (e.g.
-// PlanSpec's selected coordinators) and a size matrix in full
-// packet-level simulation.
-func SimulateSpecV(topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, sz coll.SizeMatrix, seed int64, warmup, reps int) (float64, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, err
-	}
-	plan := coll.PlanHierTree(spec, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return 0, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	if err := plan.BindSizes(sz); err != nil {
-		return 0, err
-	}
-	w := mpi.NewWorld(g.Env, mpi.Config{})
-	return coll.Measure(w, warmup, reps, func(r *mpi.Rank) {
-		coll.AlltoallHierPlannedV(r, plan)
-	}).Mean(), nil
-}

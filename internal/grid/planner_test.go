@@ -142,16 +142,8 @@ func rankingMatchesSimulation(t *testing.T, topo cluster.TopoNode, pl *Planner, 
 				// (PlanSpec is the lowest-rank default until a selection
 				// is made), so predictions and ground truth agree on
 				// what executes.
-				var st float64
-				var err error
-				if alg, ok := DescribeStrategy(s); ok {
-					st, err = SimulateSpec(topo, pl.PlanSpec(), alg, m, seed, 1, 2)
-				} else {
-					st, err = Simulate(topo, s, m, seed, 1, 2)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				spec := pl.PlanSpec()
+				st := simulate(t, topo, coll.Uniform(coll.KindAlltoall, m), s, &spec, seed, 1, 2)
 				if st <= 0 {
 					t.Fatalf("m=%d %v: nonpositive simulated time", m, s)
 				}
@@ -244,7 +236,7 @@ func TestPlannerRankingMatchesSimulation3Level(t *testing.T) {
 }
 
 func TestSimulateRejectsUnknownStrategy(t *testing.T) {
-	if _, err := Simulate(testTopo(), Strategy(99), 1024, 1, 0, 1); err == nil {
+	if _, err := Run(testTopo(), coll.Uniform(coll.KindAlltoall, 1024), Strategy(99), SimRun{Seed: 1, Reps: 1}); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
 }
@@ -385,14 +377,9 @@ func TestPlannerSelectsCoordinatorOnHeteroGrid(t *testing.T) {
 	// lowest-rank default (averaged over seeds; lossy TCP is noisy).
 	defT, selT := 0.0, 0.0
 	for _, seed := range []int64{7, 19} {
-		d, err := Simulate(topo, HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := SimulateSpec(topo, pl.PlanSpec(), coll.HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, spec := coll.Uniform(coll.KindAlltoall, m), pl.PlanSpec()
+		d := simulate(t, topo, w, HierGather, nil, seed, 1, 2)
+		s := simulate(t, topo, w, HierGather, &spec, seed, 1, 2)
 		defT += d / 2
 		selT += s / 2
 	}
@@ -458,14 +445,9 @@ func TestPlannerHeteroCanonicalAcceptance(t *testing.T) {
 	walkSpec(pl.PlanSpec(), 0)
 
 	for _, seed := range []int64{7, 19} {
-		defT, err := Simulate(topo, HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		selT, err := SimulateSpec(topo, pl.PlanSpec(), coll.HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, spec := coll.Uniform(coll.KindAlltoall, m), pl.PlanSpec()
+		defT := simulate(t, topo, w, HierGather, nil, seed, 1, 2)
+		selT := simulate(t, topo, w, HierGather, &spec, seed, 1, 2)
 		if selT >= defT {
 			t.Fatalf("seed %d: selected coordinators (%.3fs) did not beat the lowest-rank default (%.3fs)",
 				seed, selT, defT)
@@ -511,14 +493,9 @@ func TestPlannerSelectsMultiCoordinatorForWideLeaf(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{7, 19} {
-		defT, err := Simulate(topo, HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		selT, err := SimulateSpec(topo, pl.PlanSpec(), coll.HierGather, m, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, spec := coll.Uniform(coll.KindAlltoall, m), pl.PlanSpec()
+		defT := simulate(t, topo, w, HierGather, nil, seed, 1, 2)
+		selT := simulate(t, topo, w, HierGather, &spec, seed, 1, 2)
 		if selT >= defT {
 			t.Fatalf("seed %d: split coordinators (%.3fs) did not beat the single default (%.3fs)",
 				seed, selT, defT)

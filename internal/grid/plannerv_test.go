@@ -27,16 +27,8 @@ func rankingMatchesSimulationV(t *testing.T, topo cluster.TopoNode, pl *Planner,
 		for _, s := range Strategies {
 			mean := 0.0
 			for _, seed := range []int64{7, 19} {
-				var st float64
-				var err error
-				if alg, ok := DescribeStrategy(s); ok {
-					st, err = SimulateSpecV(topo, pl.PlanSpec(), alg, sz, seed, 1, 2)
-				} else {
-					st, err = SimulateV(topo, s, sz, seed, 1, 2)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				spec := pl.PlanSpec()
+				st := simulate(t, topo, coll.Irregular(sz), s, &spec, seed, 1, 2)
 				if st <= 0 {
 					t.Fatalf("%s %v: nonpositive simulated time", name, s)
 				}
@@ -198,14 +190,9 @@ func TestSelectCoordinatorsVSteersHotspotRelay(t *testing.T) {
 	}
 	defT, selT := 0.0, 0.0
 	for _, seed := range []int64{7, 19} {
-		d, err := SimulateV(topo, HierGather, sz, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := SimulateSpecV(topo, pl.PlanSpec(), coll.HierGather, sz, seed, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec := pl.PlanSpec()
+		d := simulate(t, topo, coll.Irregular(sz), HierGather, nil, seed, 1, 2)
+		s := simulate(t, topo, coll.Irregular(sz), HierGather, &spec, seed, 1, 2)
 		defT += d / 2
 		selT += s / 2
 	}

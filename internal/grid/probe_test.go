@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/coll"
 )
 
 // TestProbeSeedsSchedule pins the probe seed schedule: fixed prime
@@ -107,7 +109,7 @@ func TestProbeTypicalDeterminism(t *testing.T) {
 	topo := cappedTree(testTopo(), 2)
 	simulated := func() (float64, []float64) {
 		med, times, err := probeTypical(53, 0.5, func(sd int64) (float64, error) {
-			return simulateObs(nil, topo, FlatDirect, 16<<10, sd, 1, 1)
+			return Options{Reps: 1}.probe(topo, coll.Uniform(coll.KindAlltoall, 16<<10), FlatDirect, nil, sd)
 		})
 		if err != nil {
 			t.Fatal(err)

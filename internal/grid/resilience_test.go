@@ -39,6 +39,14 @@ func failoverSpec(t *testing.T, opt Options) (cluster.TopoNode, coll.TreeSpec, s
 	return topo, spec, g.Env.Hosts[0].Name()
 }
 
+// runFaulted executes one uniform hier-gather collective from an
+// explicit spec under Run's epoch-failover mode.
+func runFaulted(c *obs.Collector, sc SimConfig, topo cluster.TopoNode, spec coll.TreeSpec, kind coll.Kind, m int, seed int64, fs netsim.FaultSchedule, timeout sim.Time) (coll.FailoverResult, float64, error) {
+	res, err := Run(topo, coll.Uniform(kind, m), HierGather,
+		SimRun{Trace: c, Sim: sc, Seed: seed, Spec: &spec, Faults: &fs, Timeout: timeout})
+	return res.Failover, res.T, err
+}
+
 // TestSimulateSpecFailoverEndToEnd: a planner-produced spec (standbys
 // annotated by selection) survives losing leaf 0's coordinator mid-run
 // in both engines — the run fails over, delivery verifies, and the
@@ -52,7 +60,7 @@ func TestSimulateSpecFailoverEndToEnd(t *testing.T) {
 	fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{{Host: victim, At: 15 * sim.Millisecond}}}
 	for _, sc := range []SimConfig{{Mode: sim.ModePacket}, {Mode: sim.ModeFluid}} {
 		c := obs.New()
-		res, tEnd, err := SimulateSpecFailover(c, sc, topo, spec, coll.HierGather,
+		res, tEnd, err := runFaulted(c, sc, topo, spec, coll.KindAlltoall,
 			32<<10, opt.Seed, fs, 250*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("%v: %v (result %+v)", sc.Mode, err, res)
@@ -88,12 +96,12 @@ func TestSimulateSpecFailoverRejects(t *testing.T) {
 	opt := cheapOptions()
 	topo, spec, _ := failoverSpec(t, opt)
 	bad := netsim.FaultSchedule{Nodes: []netsim.NodeFault{{Host: "no-such-host", At: sim.Millisecond}}}
-	if _, _, err := SimulateSpecFailover(obs.New(), SimConfig{}, topo, spec, coll.HierGather,
+	if _, _, err := runFaulted(obs.New(), SimConfig{}, topo, spec, coll.KindAlltoall,
 		1<<10, opt.Seed, bad, 0); err == nil || !strings.Contains(err.Error(), "unknown host") {
 		t.Fatalf("unknown host not rejected: %v", err)
 	}
 	other := cluster.Uniform("t-other", wanTunedGE(), 2, 2, cluster.DefaultWAN(20*sim.Millisecond)).Tree()
-	if _, _, err := SimulateSpecFailover(obs.New(), SimConfig{}, other, spec, coll.HierGather,
+	if _, _, err := runFaulted(obs.New(), SimConfig{}, other, spec, coll.KindAlltoall,
 		1<<10, opt.Seed, netsim.FaultSchedule{}, 0); err == nil || !strings.Contains(err.Error(), "ranks") {
 		t.Fatalf("rank mismatch not rejected: %v", err)
 	}
@@ -116,7 +124,7 @@ func TestChaosDeterminism(t *testing.T) {
 		run := func() ([]byte, coll.FailoverResult, float64) {
 			c := obs.New()
 			c.SetClock(func() int64 { return 0 })
-			res, tEnd, err := SimulateSpecFailover(c, sc, topo, spec, coll.HierGather,
+			res, tEnd, err := runFaulted(c, sc, topo, spec, coll.KindAlltoall,
 				32<<10, opt.Seed, fs, 250*sim.Millisecond)
 			if err != nil {
 				t.Fatalf("%v: %v", sc.Mode, err)
@@ -413,7 +421,7 @@ func TestGoldenFailoverTraceOutline(t *testing.T) {
 	fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{
 		{Host: g.Env.Hosts[0].Name(), At: 15 * sim.Millisecond},
 	}}
-	if _, _, err := SimulateSpecFailover(c, SimConfig{}, topo, rep.Spec, coll.HierGather,
+	if _, _, err := runFaulted(c, SimConfig{}, topo, rep.Spec, coll.KindAlltoall,
 		32<<10, opt.Seed, fs, 250*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}

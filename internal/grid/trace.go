@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cluster"
-	"repro/internal/coll"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -23,7 +20,8 @@ const (
 	// ping-pongs, headroom probes, and contention-factor probes alike).
 	CtrProbes = "planner.probes"
 	// CtrSimEvents accumulates discrete-event counts across all probe
-	// and validation simulators — the work metric BENCH_PLANNER tracks.
+	// and validation simulators — the work metric behind the benchmark's
+	// sim.events_per_op (bench/README.md).
 	CtrSimEvents = "sim.events"
 	// CtrRetransmits accumulates transport retransmissions (fast and
 	// timeout-driven) across traced simulations.
@@ -31,9 +29,9 @@ const (
 	// CtrTimeouts accumulates transport RTO firings across traced
 	// simulations.
 	CtrTimeouts = "transport.timeouts"
-	// CtrValidations counts traced validation simulations
-	// (SimulateSpecTraced / SimulateSpecVTraced) — ground-truth runs of
-	// an already-planned exchange. Kept apart from CtrProbes so a
+	// CtrValidations counts traced validation simulations (Run with a
+	// SimRun.Trace) — ground-truth runs of an already-planned
+	// collective. Kept apart from CtrProbes so a
 	// warm-store planner run reports planner.probes = 0 even when its
 	// diagnostics re-simulate the chosen plan.
 	CtrValidations = "planner.validations"
@@ -176,114 +174,4 @@ func (pl *Planner) checkOverlap(sp *obs.Span, stage string, size int, hd, hg []f
 			obs.F64("hd_min_s", hdLo), obs.F64("hd_max_s", hdHi),
 			obs.F64("hg_min_s", hgLo), obs.F64("hg_max_s", hgHi))
 	}
-}
-
-// measureEnv measures op on a built environment, feeding the
-// collector's aggregate counters (probe count, sim events, transport
-// recovery) when tracing — the one funnel every planner probe and
-// Simulate* call goes through.
-func measureEnv(c *obs.Collector, env *cluster.Cluster, warmup, reps int, op func(r *mpi.Rank)) float64 {
-	return measureEnvAs(c, CtrProbes, env, warmup, reps, op)
-}
-
-// measureEnvAs is measureEnv with the run counted under an explicit
-// counter: probe simulations feed CtrProbes, traced validation runs
-// feed CtrValidations.
-func measureEnvAs(c *obs.Collector, counter string, env *cluster.Cluster, warmup, reps int, op func(r *mpi.Rank)) float64 {
-	env.Net.AttachCollector(c)
-	w := mpi.NewWorld(env, mpi.Config{})
-	t := coll.Measure(w, warmup, reps, op).Mean()
-	addRunCountersAs(c, counter, env)
-	return t
-}
-
-// addRunCounters feeds one finished simulation's aggregate totals into
-// the collector: one probe, its event count, and the transport's
-// loss-recovery tallies. No-op on a nil collector.
-func addRunCounters(c *obs.Collector, env *cluster.Cluster) {
-	addRunCountersAs(c, CtrProbes, env)
-}
-
-// addRunCountersAs is addRunCounters under an explicit run counter.
-func addRunCountersAs(c *obs.Collector, counter string, env *cluster.Cluster) {
-	if c == nil {
-		return
-	}
-	c.Add(counter, 1)
-	c.Add(CtrSimEvents, env.Sim.Events())
-	ts := env.Fabric.TotalStats()
-	c.Add(CtrRetransmits, uint64(ts.Retransmits))
-	c.Add(CtrTimeouts, uint64(ts.Timeouts))
-}
-
-// emitPhases records one simulate span with a phase event per
-// PhaseSpan: the per-phase/per-tier timing breakdown of a traced plan
-// execution. No-op on a nil collector.
-func emitPhases(c *obs.Collector, alg coll.HierAlgorithm, m int, spans []coll.PhaseSpan, dims string) {
-	if c == nil {
-		return
-	}
-	name := "hier-gather"
-	if alg == coll.HierDirect {
-		name = "hier-direct"
-	}
-	sp := c.Span("simulate.phases", obs.Str("alg", name), obs.Int("m", m), obs.Str("dims", dims))
-	for _, ps := range spans {
-		sp.Event("phase",
-			obs.Int("phase", ps.Phase), obs.Str("label", ps.Label),
-			obs.F64("start_s", ps.Start), obs.F64("end_s", ps.End),
-			obs.F64("dur_s", ps.Dur()), obs.Int("ranks", ps.Ranks))
-	}
-	sp.End()
-}
-
-// SimulateSpecTraced is SimulateSpec with execution tracing: it records
-// the plan's per-phase spans (returned for rendering) and, when c is
-// non-nil, emits them as simulate.phases events, publishes the built
-// network's per-port counters, and feeds the aggregate counters. The
-// measured time is identical to SimulateSpec's for the same arguments —
-// tracing reads the simulated clock but never perturbs it.
-func SimulateSpecTraced(c *obs.Collector, topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, m int, seed int64, warmup, reps int) (float64, []coll.PhaseSpan, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, nil, err
-	}
-	plan := coll.PlanHierTree(spec, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return 0, nil, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	pt := coll.NewPhaseTrace(plan)
-	t := measureEnvAs(c, CtrValidations, g.Env, warmup, reps, func(r *mpi.Rank) {
-		coll.AlltoallHierPlannedTraced(r, plan, m, pt)
-	})
-	spans := pt.Spans()
-	emitPhases(c, alg, m, spans, topo.Name)
-	g.Env.Net.PublishPorts(c, fmt.Sprintf("simulate-spec/%s/%d", topo.Name, m))
-	return t, spans, nil
-}
-
-// SimulateSpecVTraced is SimulateSpecV with execution tracing,
-// mirroring SimulateSpecTraced for a size-bound plan.
-func SimulateSpecVTraced(c *obs.Collector, topo cluster.TopoNode, spec coll.TreeSpec, alg coll.HierAlgorithm, sz coll.SizeMatrix, seed int64, warmup, reps int) (float64, []coll.PhaseSpan, error) {
-	g, err := cluster.BuildGridTree(topo, seed)
-	if err != nil {
-		return 0, nil, err
-	}
-	plan := coll.PlanHierTree(spec, alg)
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
-		return 0, nil, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	if err := plan.BindSizes(sz); err != nil {
-		return 0, nil, err
-	}
-	pt := coll.NewPhaseTrace(plan)
-	t := measureEnvAs(c, CtrValidations, g.Env, warmup, reps, func(r *mpi.Rank) {
-		coll.AlltoallHierPlannedVTraced(r, plan, pt)
-	})
-	spans := pt.Spans()
-	emitPhases(c, alg, 0, spans, topo.Name)
-	g.Env.Net.PublishPorts(c, fmt.Sprintf("simulate-specv/%s", topo.Name))
-	return t, spans, nil
 }

@@ -35,7 +35,9 @@ func TestGoldenTraceOutline(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Predict(48 << 10)
-	if _, _, err := SimulateSpecTraced(c, topo, pl.PlanSpec(), coll.HierGather, 32<<10, opt.Seed, 1, 1); err != nil {
+	spec := pl.PlanSpec()
+	if _, err := Run(topo, coll.Uniform(coll.KindAlltoall, 32<<10), HierGather,
+		SimRun{Trace: c, Seed: opt.Seed, Warmup: 1, Reps: 1, Spec: &spec, Phases: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,78 +158,6 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("prediction %d at %d B differs with tracing: %+v vs %+v", i, m, a[i], b[i])
 			}
-		}
-	}
-}
-
-// TestSimulateSpecTracedMatchesUntraced pins that the traced executor
-// measures the same completion time as SimulateSpec and reduces to
-// labeled per-phase spans covering the whole run.
-func TestSimulateSpecTracedMatchesUntraced(t *testing.T) {
-	opt := cheapOptions()
-	pl, err := NewPlanner(testTopo(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := pl.PlanSpec()
-	const m = 32 << 10
-	want, err := SimulateSpec(testTopo(), spec, coll.HierGather, m, opt.Seed, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := obs.New()
-	got, phases, err := SimulateSpecTraced(c, testTopo(), spec, coll.HierGather, m, opt.Seed, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("traced time %v != untraced %v", got, want)
-	}
-	if len(phases) == 0 {
-		t.Fatal("no phase spans recorded")
-	}
-	labels := map[string]bool{}
-	for _, ph := range phases {
-		labels[ph.Label] = true
-		if ph.Dur() < 0 {
-			t.Errorf("phase %q has negative duration: %+v", ph.Label, ph)
-		}
-		if ph.Ranks <= 0 {
-			t.Errorf("phase %q has no participating ranks", ph.Label)
-		}
-	}
-	for _, want := range []string{"intra", "leaf-gather", "tier-1-exchange", "scatter-depth-1"} {
-		if !labels[want] {
-			t.Errorf("missing phase label %q in %v", want, phases)
-		}
-	}
-	// The traced run must have published per-port counters and fed the
-	// aggregates — under the validation counter, not the probe counter:
-	// re-simulating an already-planned exchange is not characterization,
-	// and a warm-store planner run must be able to report zero probes.
-	var sawPort bool
-	for _, ev := range c.Events() {
-		if ev.Name == "netsim.port" {
-			sawPort = true
-		}
-	}
-	if !sawPort {
-		t.Error("no netsim.port events published")
-	}
-	for _, name := range []string{CtrValidations, CtrSimEvents} {
-		var found bool
-		for _, cv := range c.Counters() {
-			if cv.Name == name && cv.Value > 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("counter %s not fed", name)
-		}
-	}
-	for _, cv := range c.Counters() {
-		if cv.Name == CtrProbes && cv.Value > 0 {
-			t.Errorf("validation simulation fed %s = %d, want 0", CtrProbes, cv.Value)
 		}
 	}
 }

@@ -304,22 +304,6 @@ func (g GridModel) emitFlatLookups(m int) {
 	walk(g.Root)
 }
 
-// TwoLevel builds the flat two-level model (the pre-recursive GridModel
-// shape): leaf clusters of the given sizes and signatures under one WAN
-// tier. It panics when sizes and signatures disagree in length — a
-// missing signature would otherwise silently predict that cluster's LAN
-// as free.
-func TwoLevel(sizes []int, lan []Signature, wan WANModel) GridModel {
-	if len(sizes) != len(lan) {
-		panic(fmt.Sprintf("model: %d cluster sizes but %d LAN signatures", len(sizes), len(lan)))
-	}
-	root := &ModelNode{Wan: wan}
-	for i, s := range sizes {
-		root.Children = append(root.Children, LeafNode(s, lan[i]))
-	}
-	return GridModel{Root: root}
-}
-
 // Validate checks structural consistency.
 func (g GridModel) Validate() error {
 	if g.Root == nil {

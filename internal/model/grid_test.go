@@ -72,7 +72,7 @@ func testSig() Signature {
 
 func gridModelFixture() GridModel {
 	sig := testSig()
-	return TwoLevel([]int{4, 4}, []Signature{sig, sig}, testWan())
+	return GridModel{Root: GroupNode(testWan(), LeafNode(4, sig), LeafNode(4, sig))}
 }
 
 // threeLevelFixture: 2 nations × 2 campuses of 4 nodes, a fast campus
@@ -102,18 +102,10 @@ func TestGridModelValidate(t *testing.T) {
 	if err := threeLevelFixture().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := TwoLevel([]int{4, 0}, []Signature{testSig(), testSig()}, testWan())
+	bad := GridModel{Root: GroupNode(testWan(), LeafNode(4, testSig()), LeafNode(0, testSig()))}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("empty cluster must fail validation")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("TwoLevel with mismatched sizes/signatures must panic")
-			}
-		}()
-		TwoLevel([]int{4, 4}, []Signature{testSig()}, testWan())
-	}()
 	if err := (GridModel{}).Validate(); err == nil {
 		t.Fatal("empty grid must fail validation")
 	}
@@ -186,7 +178,7 @@ func TestGridTwoLevelMatchesClosedForm(t *testing.T) {
 	sig := testSig()
 	sizes := []int{4, 6}
 	wan := testWan()
-	g := TwoLevel(sizes, []Signature{sig, sig}, wan)
+	g := GridModel{Root: GroupNode(wan, LeafNode(sizes[0], sig), LeafNode(sizes[1], sig))}
 	g.Root.Wan.Gamma = ScalarFactor(3)
 	g.OverlapGamma = ScalarFactor(2.5)
 	g.GatherGamma = ScalarFactor(1.5)
