@@ -106,10 +106,9 @@ func init() {
 				sort.Strings(names)
 				for pi, name := range names {
 					sz := coll.SizeMatrixFromRows(workloads[name])
-					scalarOf := map[grid.Strategy]float64{
-						grid.FlatDirect: scalar.PredictFlatV(sz),
-						grid.HierGather: scalar.PredictHierGatherV(sz),
-						grid.HierDirect: scalar.PredictHierDirectV(sz),
+					scalarOf := map[grid.Strategy]float64{}
+					for _, strat := range grid.Strategies {
+						scalarOf[strat] = scalar.Predict(coll.Irregular(sz), strat, cfg.Trace)
 					}
 					preds := pl.PredictV(sz)
 					curveOf := map[grid.Strategy]float64{}

@@ -226,18 +226,12 @@ func leafTargetCounts(t cluster.TopoNode) []int {
 // (refitStrategyFactors), Predict reflects both, and PlanSpec carries
 // the annotation.
 func (pl *Planner) SelectCoordinators(m int) ([]CoordChoice, error) {
-	return pl.selectCoordinators(func() float64 {
-		hg, hd := pl.Model.PredictHierGather(m), pl.Model.PredictHierDirect(m)
-		if hd < hg {
-			return hd
-		}
-		return hg
-	})
+	return pl.selectCoordinators(coll.Uniform(coll.KindAlltoall, m))
 }
 
 // SelectCoordinatorsV is the irregular-exchange form of
-// SelectCoordinators: candidates are evaluated through the v-model at
-// the given size matrix, so a candidate's predicted cost weighs its
+// SelectCoordinators: candidates are evaluated through the model at the
+// given size matrix, so a candidate's predicted cost weighs its
 // measured headroom by the leaf's *actual* relay bytes (the matrix's
 // out- and inbound cuts at that leaf) rather than by the uniform
 // (n−s)·m volume — a leaf that relays little can keep a mediocre
@@ -246,24 +240,29 @@ func (pl *Planner) SelectCoordinators(m int) ([]CoordChoice, error) {
 // uniform path; uniform matrices select identically to
 // SelectCoordinators at m.
 func (pl *Planner) SelectCoordinatorsV(sz coll.SizeMatrix) ([]CoordChoice, error) {
-	if sz.NumRanks() != pl.Model.TotalNodes() {
-		return nil, fmt.Errorf("grid: size matrix covers %d ranks, topology has %d",
-			sz.NumRanks(), pl.Model.TotalNodes())
-	}
-	return pl.selectCoordinators(func() float64 {
-		hg, hd := pl.Model.PredictHierGatherV(sz), pl.Model.PredictHierDirectV(sz)
-		if hd < hg {
-			return hd
-		}
-		return hg
-	})
+	return pl.selectCoordinators(coll.Irregular(sz))
 }
 
-// selectCoordinators is the shared selection core: hierBest returns the
-// best hierarchical prediction under the model's current per-leaf
-// coordinator fields (NumCoords, CoordBeta), which the candidate loop
-// mutates and compares through it.
-func (pl *Planner) selectCoordinators(hierBest func() float64) ([]CoordChoice, error) {
+// selectCoordinators is the one selection core behind
+// SelectCoordinators, SelectCoordinatorsV and SelectCoordinatorsKind. A
+// workload that does not fit the topology is rejected with
+// coll.Workload.Validate's error. Candidates are compared through
+// hierBest: the best hierarchical prediction of the workload under the
+// model's current per-leaf coordinator fields (NumCoords, CoordBeta),
+// which the candidate loop mutates.
+func (pl *Planner) selectCoordinators(w coll.Workload) ([]CoordChoice, error) {
+	if err := w.Validate(pl.Model.TotalNodes()); err != nil {
+		return nil, err
+	}
+	hierBest := func() float64 {
+		best := math.Inf(1)
+		for _, s := range StrategiesFor(w.Kind)[1:] { // the hierarchical candidates
+			if t := pl.Model.Predict(w, s, pl.opt.Trace); t < best {
+				best = t
+			}
+		}
+		return best
+	}
 	leaves := pl.Model.Leaves()
 	targetCounts := leafTargetCounts(pl.Topo)
 	bases := make([]int, len(leaves))

@@ -212,12 +212,7 @@ func TestProbePoolRaceWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The model embeds the trace collector (GridModel.Obs) for lookup
-	// events; clear it on both sides so DeepEqual compares the fit, not
-	// the observability wiring.
-	got, want := pl.Model, plain.Model
-	got.Obs, want.Obs = nil, nil
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(pl.Model, plain.Model) {
 		t.Fatal("traced 4-worker model differs from untraced sequential")
 	}
 	if counterValue(opt.Trace, CtrProbes) == 0 {

@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/model"
@@ -12,11 +10,11 @@ import (
 // Per-kind planning: the collective suite (coll.PlanKindTree) through
 // the planner pipeline. Every kind reuses the planner's fitted
 // ingredients — tier transfer curves, γ_wan, the κ incast factor, probed
-// coordinator headroom — via the per-kind model (model.PredictKindFlat /
-// PredictKindHier), plus one lazily fitted per-kind correction curve
-// that absorbs what the weighted decomposition cannot know analytically
-// (rendezvous pipelining between relay levels, per-kind transport
-// behavior). All-to-All(v) itself never takes a correction: its
+// coordinator headroom — via the model's one prediction entry
+// (model.GridModel.Predict), plus one lazily fitted per-kind correction
+// curve that absorbs what the weighted decomposition cannot know
+// analytically (rendezvous pipelining between relay levels, per-kind
+// transport behavior). All-to-All(v) itself never takes a correction: its
 // predictions, plans and store records stay bit-identical to the
 // pre-suite planner.
 
@@ -25,7 +23,8 @@ import (
 // -span flag can assert its presence in a trace.
 const SpanSimulateKind = "simulate.kind"
 
-// StrategiesFor lists the candidate strategies of a collective kind.
+// StrategiesFor lists the candidate strategies of a collective kind,
+// FlatDirect first and the hierarchical ones after it.
 // All-to-All(v) keeps all three; the other kinds compile structurally
 // identical plans under both hierarchical algorithm variants (the
 // rooted relay and the weighted gather/scatter have no overlapped
@@ -96,7 +95,7 @@ func (pl *Planner) kindFactor(kind coll.Kind) (model.FactorCurve, error) {
 		}
 		pl.recordProbe(sp, "gamma_"+kind.String(), "", "kind", p, opt.Seed+131, pr.times)
 		g := 1.0
-		if pred := probeModel.PredictKindHier(kind, p); pred > 0 {
+		if pred := probeModel.Predict(coll.Uniform(kind, p), HierGather, nil); pred > 0 {
 			g = clampGamma(pr.median / pred)
 		}
 		sp.Event("fit.point", obs.Str("factor", "gamma_"+kind.String()),
@@ -111,61 +110,33 @@ func (pl *Planner) kindFactor(kind coll.Kind) (model.FactorCurve, error) {
 
 // PredictKind returns every candidate strategy's predicted completion
 // time for a collective of the given kind at per-rank contribution m,
-// sorted fastest first. KindAlltoall delegates to Predict bit-identically
-// (no per-kind correction is ever fitted or applied to it); the other
-// kinds price the flat kernel and the hierarchical plan through the
-// per-kind model, with the hierarchical term scaled by the kind's
-// lazily calibrated correction curve. KindAlltoallv is size-bound and
-// has no uniform-m prediction — use PredictV.
+// sorted fastest first. KindAlltoall is served bit-identically to
+// Predict (no per-kind correction is ever fitted or applied to it); the
+// other kinds price the flat kernel and the hierarchical plan through
+// the model, with the hierarchical term scaled by the kind's lazily
+// calibrated correction curve. KindAlltoallv is size-bound — it has no
+// uniform-m workload, use PredictV — and is rejected like any other
+// malformed workload.
 func (pl *Planner) PredictKind(kind coll.Kind, m int) ([]Prediction, error) {
-	switch kind {
-	case coll.KindAlltoall:
-		return pl.Predict(m), nil
-	case coll.KindAlltoallv:
-		return nil, fmt.Errorf("grid: %v is size-bound, use PredictV", kind)
-	}
-	f, err := pl.kindFactor(kind)
-	if err != nil {
+	w := coll.Uniform(kind, m)
+	if err := w.Validate(pl.Model.TotalNodes()); err != nil {
 		return nil, err
 	}
-	hier := pl.Model.PredictKindHier(kind, m)
-	if !f.IsZero() {
-		hier *= f.At(m)
-	}
-	out := []Prediction{
-		{FlatDirect, pl.Model.PredictKindFlat(kind, m)},
-		{HierGather, hier},
-	}
-	if out[1].T < out[0].T {
-		out[0], out[1] = out[1], out[0]
-	}
-	return out, nil
+	return pl.predict(w)
 }
 
 // BestKind returns the predicted-fastest strategy for the kind at
 // per-rank contribution m.
 func (pl *Planner) BestKind(kind coll.Kind, m int) (Prediction, error) {
-	preds, err := pl.PredictKind(kind, m)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return preds[0], nil
+	return first(pl.PredictKind(kind, m))
 }
 
 // SelectCoordinatorsKind is SelectCoordinators with candidates priced
 // through the kind's hierarchical model: a reduction's coordinator
 // choice weighs the relay incast, not the All-to-All exchange volume.
-// KindAlltoall delegates to SelectCoordinators exactly. The decision
-// margin, model application, and ω/κ refit are shared with the
-// All-to-All path.
+// KindAlltoall selects exactly as SelectCoordinators; KindAlltoallv is
+// size-bound (use SelectCoordinatorsV). The decision margin, model
+// application, and ω/κ refit are shared with the All-to-All path.
 func (pl *Planner) SelectCoordinatorsKind(kind coll.Kind, m int) ([]CoordChoice, error) {
-	switch kind {
-	case coll.KindAlltoall:
-		return pl.SelectCoordinators(m)
-	case coll.KindAlltoallv:
-		return nil, fmt.Errorf("grid: %v is size-bound, use SelectCoordinatorsV", kind)
-	}
-	return pl.selectCoordinators(func() float64 {
-		return pl.Model.PredictKindHier(kind, m)
-	})
+	return pl.selectCoordinators(coll.Uniform(kind, m))
 }

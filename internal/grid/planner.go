@@ -38,37 +38,19 @@ import (
 	"repro/internal/transport"
 )
 
-// Strategy is one candidate All-to-All execution strategy on a grid.
-type Strategy int
+// Strategy is one candidate execution strategy on a grid; the model
+// that prices the strategies defines it.
+type Strategy = model.Strategy
 
+// The candidate strategies (see model.Strategy).
 const (
-	// FlatDirect runs the paper's Algorithm 1 over the whole grid,
-	// ignoring topology.
-	FlatDirect Strategy = iota
-	// HierGather runs coll.HierGather (sequential gather / per-tier
-	// coordinator exchange / scatter).
-	HierGather
-	// HierDirect runs coll.HierDirect (intra-cluster exchange
-	// overlapped with the coordinator relay).
-	HierDirect
+	FlatDirect = model.FlatDirect
+	HierGather = model.HierGather
+	HierDirect = model.HierDirect
 )
 
 // Strategies lists all candidate strategies.
 var Strategies = []Strategy{FlatDirect, HierGather, HierDirect}
-
-// String names the strategy as used in experiment output.
-func (s Strategy) String() string {
-	switch s {
-	case FlatDirect:
-		return "flat-direct"
-	case HierGather:
-		return "hier-gather"
-	case HierDirect:
-		return "hier-direct"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
 
 // tagWANProbe is the reserved tag of the WAN ping-pong probe.
 const tagWANProbe int32 = 7100
@@ -126,8 +108,8 @@ type Options struct {
 	// Trace, when non-nil, collects the characterization's spans and
 	// events (per-tier WAN probes, per-seed factor-probe samples and
 	// dispersion, fitted curve points) plus aggregate counters (probe
-	// count, simulator events, transport retransmits). NewPlanner also
-	// installs it on the assembled Model, so later predictions emit
+	// count, simulator events, transport retransmits). The planner also
+	// hands it to the model on every prediction it serves, so those emit
 	// factor.lookup events into the same trace. Nil disables all
 	// tracing; the disabled paths cost nil checks only.
 	Trace *obs.Collector
@@ -537,11 +519,6 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 	// re-probed only the records the store lacked (e.g. one invalidated
 	// tier) and reused every other cached curve.
 	pl.sv.noteRefit(rootSpan)
-	// The assembled model inherits the trace collector so predictions
-	// report which fitted curve points they interpolate; the capped
-	// probe models used during fitting stay untraced on purpose —
-	// inversion would otherwise flood the trace with internal lookups.
-	gm.Obs = opt.Trace
 	pl.Model = gm
 	return pl, nil
 }
@@ -779,6 +756,20 @@ func clampGamma(v float64) float64 {
 	return v
 }
 
+// invertFactor solves strategy s's decomposition of the probe model
+// (model.Parts) for the factor that reproduces the measured completion
+// time of a regular All-to-All at per-pair size m; a decomposition
+// without a factor-scaled leg fits the identity. The probe models stay
+// untraced on purpose — inversion would otherwise flood the trace with
+// internal lookups.
+func invertFactor(probeModel model.GridModel, m int, s Strategy, measured float64) float64 {
+	p := probeModel.Parts(coll.Uniform(coll.KindAlltoall, m), s)
+	if p.Scaled <= 0 {
+		return 1
+	}
+	return clampGamma((measured - p.A - p.B) / p.Scaled)
+}
+
 // probeTypical runs one probe simulation (the closure) over a
 // stop-when-stable seed schedule and keeps the median run. Completion
 // times on lossy WANs are heavy-tailed upward — a single
@@ -881,10 +872,7 @@ func (pl *Planner) fitTierGammas(topo cluster.TopoNode, mod *model.ModelNode, ca
 			return pr.err
 		}
 		pl.recordProbe(sp, "gamma_wan", topo.Name, "characterize", p, opt.Seed+53, pr.times)
-		gamma := 1.0
-		if fixed, startup, rootWan := probeModel.FlatParts(p); rootWan > 0 {
-			gamma = clampGamma((pr.median - fixed - startup) / rootWan)
-		}
+		gamma := invertFactor(probeModel, p, FlatDirect, pr.median)
 		sp.Event("fit.point", obs.Str("factor", "gamma_wan"), obs.Int("size", p), obs.F64("value", gamma))
 		points = append(points, model.FactorPoint{Bytes: p, Factor: gamma})
 	}
@@ -963,10 +951,7 @@ func (pl *Planner) probeStrategyFactors(sp *obs.Span, stage string, probeTopo cl
 			return model.FactorCurve{}, model.FactorCurve{}, hd.err
 		}
 		pl.recordProbe(sp, "omega", "", stage, p, opt.Seed+71, hd.times)
-		o := 1.0
-		if phase0, xchg, scatter := probeModel.HierDirectParts(p); xchg > 0 {
-			o = clampGamma((hd.median - phase0 - scatter) / xchg)
-		}
+		o := invertFactor(probeModel, p, HierDirect, hd.median)
 		sp.Event("fit.point", obs.Str("factor", "omega"), obs.Int("size", p), obs.F64("value", o))
 		omegaPts = append(omegaPts, model.FactorPoint{Bytes: p, Factor: o})
 
@@ -974,10 +959,7 @@ func (pl *Planner) probeStrategyFactors(sp *obs.Span, stage string, probeTopo cl
 			return model.FactorCurve{}, model.FactorCurve{}, hg.err
 		}
 		pl.recordProbe(sp, "kappa", "", stage, p, opt.Seed+89, hg.times)
-		k := 1.0
-		if intra, xchg, local := probeModel.HierGatherParts(p); local > 0 {
-			k = clampGamma((hg.median - intra - xchg) / local)
-		}
+		k := invertFactor(probeModel, p, HierGather, hg.median)
 		sp.Event("fit.point", obs.Str("factor", "kappa"), obs.Int("size", p), obs.F64("value", k))
 		kappaPts = append(kappaPts, model.FactorPoint{Bytes: p, Factor: k})
 
@@ -992,15 +974,54 @@ type Prediction struct {
 	T        float64 // seconds
 }
 
+// predict is the one prediction core behind Predict, PredictV and
+// PredictKind: every candidate strategy of the workload's kind priced
+// through the model (which receives the planner's trace collector),
+// sorted fastest first. Kinds other than All-to-All(v) scale their
+// hierarchical prediction by the kind's lazily calibrated correction
+// curve — the only step that can fail. A workload that does not fit the
+// topology is a programming error here and panics with
+// coll.Workload.Validate's message; the entry points that accept
+// external input validate and return it instead.
+func (pl *Planner) predict(w coll.Workload) ([]Prediction, error) {
+	var correction model.FactorCurve
+	if w.Kind != coll.KindAlltoall && w.Kind != coll.KindAlltoallv {
+		var err error
+		if correction, err = pl.kindFactor(w.Kind); err != nil {
+			return nil, err
+		}
+	}
+	strategies := StrategiesFor(w.Kind)
+	out := make([]Prediction, len(strategies))
+	for i, s := range strategies {
+		t := pl.Model.Predict(w, s, pl.opt.Trace)
+		if s != FlatDirect && !correction.IsZero() {
+			t *= correction.At(w.M)
+		}
+		out[i] = Prediction{s, t}
+	}
+	// Stable insertion sort: at most three entries, and ties keep the
+	// Strategies order.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].T < out[j-1].T; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out, nil
+}
+
+// first returns the fastest of a sorted prediction list.
+func first(preds []Prediction, err error) (Prediction, error) {
+	if err != nil {
+		return Prediction{}, err
+	}
+	return preds[0], nil
+}
+
 // Predict returns every strategy's predicted completion time for an
 // All-to-All of per-pair message size m, sorted fastest first.
 func (pl *Planner) Predict(m int) []Prediction {
-	out := []Prediction{
-		{FlatDirect, pl.Model.PredictFlat(m)},
-		{HierGather, pl.Model.PredictHierGather(m)},
-		{HierDirect, pl.Model.PredictHierDirect(m)},
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
+	out, _ := pl.predict(coll.Uniform(coll.KindAlltoall, m)) // All-to-All fits no correction: no error
 	return out
 }
 
@@ -1010,20 +1031,15 @@ func (pl *Planner) Best(m int) Prediction { return pl.Predict(m)[0] }
 // PredictV returns every strategy's predicted completion time for an
 // irregular total exchange with per-pair byte counts sz, sorted fastest
 // first: each tier's WAN leg is priced by the matrix's actual
-// cross-subtree cut instead of n·m (model.GridModel's v-variants).
+// cross-subtree cut instead of n·m (the model's matrix volume source).
 // Uniform matrices reduce to Predict bit-identically. The matrix ranks
 // must match the planner's topology (contiguous leaf blocks in tree
 // order, as BuildGridTree assigns them) — a mismatch panics, a
-// programming error like Predict on a foreign model; the v-APIs that
-// accept external input (SelectCoordinatorsV, Run) validate and return
-// errors instead.
+// programming error like Predict on a foreign model; the APIs that
+// accept external input (Service, SelectCoordinatorsV, Run) validate
+// and return errors instead.
 func (pl *Planner) PredictV(sz coll.SizeMatrix) []Prediction {
-	out := []Prediction{
-		{FlatDirect, pl.Model.PredictFlatV(sz)},
-		{HierGather, pl.Model.PredictHierGatherV(sz)},
-		{HierDirect, pl.Model.PredictHierDirectV(sz)},
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
+	out, _ := pl.predict(coll.Irregular(sz)) // as Predict: no error path
 	return out
 }
 

@@ -153,55 +153,68 @@ func (s *Service) evictLocked() {
 	}
 }
 
-// Predict returns every strategy's predicted completion time for an
-// All-to-All of per-pair size m on the topology, fastest first,
-// characterizing on first use. Safe for concurrent use.
-func (s *Service) Predict(topo cluster.TopoNode, m int) ([]Prediction, error) {
+// predict serves every Predict*/Best* request: the topology's planner
+// (characterized on first use), the workload checked against its rank
+// count — requests are external input, so a matrix of the wrong rank
+// count or a negative size is coll.Workload.Validate's named error, not
+// a panic inside the model — and the prediction core, both run under the
+// entry's shared lock (TotalNodes copies the whole model value, factor
+// fields a concurrent selection rewrites included): predictions are pure
+// model reads, and the lazy per-kind calibration is internally locked and
+// never mutates the model.
+func (s *Service) predict(topo cluster.TopoNode, w coll.Workload) ([]Prediction, error) {
 	e := s.entryFor(topo)
 	if e.err != nil {
 		return nil, e.err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.pl.Predict(m), nil
+	if err := w.Validate(e.pl.Model.TotalNodes()); err != nil {
+		return nil, err
+	}
+	return e.pl.predict(w)
+}
+
+// selectCoordinators serves every SelectCoordinators* request under the
+// entry's exclusive lock (selection mutates the model's per-leaf
+// coordinator fields and refits ω/κ); concurrent predictions on the same
+// topology observe either the pre- or post-selection model, never a
+// partial write.
+func (s *Service) selectCoordinators(topo cluster.TopoNode, w coll.Workload) ([]CoordChoice, error) {
+	e := s.entryFor(topo)
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.pl.selectCoordinators(w)
+}
+
+// Predict returns every strategy's predicted completion time for an
+// All-to-All of per-pair size m on the topology, fastest first,
+// characterizing on first use. Safe for concurrent use.
+func (s *Service) Predict(topo cluster.TopoNode, m int) ([]Prediction, error) {
+	return s.predict(topo, coll.Uniform(coll.KindAlltoall, m))
 }
 
 // Best returns the predicted-fastest strategy for size m on the
 // topology. Safe for concurrent use.
 func (s *Service) Best(topo cluster.TopoNode, m int) (Prediction, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return Prediction{}, e.err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pl.Best(m), nil
+	return first(s.Predict(topo, m))
 }
 
 // PredictV returns every strategy's predicted completion time for the
-// irregular exchange sz on the topology, fastest first. The matrix
-// ranks must match the topology (PredictV panics on a mismatch, like
-// Planner.PredictV). Safe for concurrent use.
+// irregular exchange sz on the topology, fastest first. A matrix whose
+// rank count does not match the topology is an error. Safe for
+// concurrent use.
 func (s *Service) PredictV(topo cluster.TopoNode, sz coll.SizeMatrix) ([]Prediction, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pl.PredictV(sz), nil
+	return s.predict(topo, coll.Irregular(sz))
 }
 
 // BestV returns the predicted-fastest strategy for the size matrix sz
 // on the topology. Safe for concurrent use.
 func (s *Service) BestV(topo cluster.TopoNode, sz coll.SizeMatrix) (Prediction, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return Prediction{}, e.err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pl.BestV(sz), nil
+	return first(s.PredictV(topo, sz))
 }
 
 // PredictKind returns every candidate strategy's predicted completion
@@ -211,69 +224,32 @@ func (s *Service) BestV(topo cluster.TopoNode, sz coll.SizeMatrix) (Prediction, 
 // lazily calibrate their correction curve on first request (probe
 // simulations recorded in the shared store, so later requests — and
 // later processes loading the store — predict without probing). Safe
-// for concurrent use: calibration is internally locked and never
-// mutates the model, so concurrent predictions proceed under the
-// entry's shared lock.
+// for concurrent use.
 func (s *Service) PredictKind(topo cluster.TopoNode, kind coll.Kind, m int) ([]Prediction, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pl.PredictKind(kind, m)
+	return s.predict(topo, coll.Uniform(kind, m))
 }
 
 // BestKind returns the predicted-fastest strategy for the kind at
 // per-rank contribution m on the topology. Safe for concurrent use.
 func (s *Service) BestKind(topo cluster.TopoNode, kind coll.Kind, m int) (Prediction, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return Prediction{}, e.err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pl.BestKind(kind, m)
-}
-
-// SelectCoordinatorsKind runs coordinator selection with candidates
-// priced through the kind's hierarchical model, under the entry's
-// exclusive lock like SelectCoordinators. Safe for concurrent use.
-func (s *Service) SelectCoordinatorsKind(topo cluster.TopoNode, kind coll.Kind, m int) ([]CoordChoice, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pl.SelectCoordinatorsKind(kind, m)
+	return first(s.PredictKind(topo, kind, m))
 }
 
 // SelectCoordinators runs bandwidth-aware coordinator selection at
-// size m on the topology's cached planner, under the entry's exclusive
-// lock (selection mutates the model's per-leaf coordinator fields and
-// refits ω/κ); concurrent predictions on the same topology observe
-// either the pre- or post-selection model, never a partial write. Safe
-// for concurrent use.
+// size m on the topology's cached planner. Safe for concurrent use.
 func (s *Service) SelectCoordinators(topo cluster.TopoNode, m int) ([]CoordChoice, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pl.SelectCoordinators(m)
+	return s.selectCoordinators(topo, coll.Uniform(coll.KindAlltoall, m))
 }
 
 // SelectCoordinatorsV is SelectCoordinators for an irregular exchange.
 func (s *Service) SelectCoordinatorsV(topo cluster.TopoNode, sz coll.SizeMatrix) ([]CoordChoice, error) {
-	e := s.entryFor(topo)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pl.SelectCoordinatorsV(sz)
+	return s.selectCoordinators(topo, coll.Irregular(sz))
+}
+
+// SelectCoordinatorsKind runs coordinator selection with candidates
+// priced through the kind's hierarchical model. Safe for concurrent use.
+func (s *Service) SelectCoordinatorsKind(topo cluster.TopoNode, kind coll.Kind, m int) ([]CoordChoice, error) {
+	return s.selectCoordinators(topo, coll.Uniform(kind, m))
 }
 
 // Invalidate declares one tier's characterization stale — its WAN

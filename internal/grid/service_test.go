@@ -478,3 +478,58 @@ func TestStoreGoldenFile(t *testing.T) {
 		t.Fatal("golden store did not round-trip byte-identically")
 	}
 }
+
+// TestServiceRejectsMalformedWorkloads pins the service's input
+// boundary: requests are external input, so a workload that does not
+// fit the topology comes back as coll.Workload.Validate's named error
+// from every Predict*/Best*/SelectCoordinators* entry — never a panic
+// inside the model, never a finite number for a negative size.
+func TestServiceRejectsMalformedWorkloads(t *testing.T) {
+	svc, err := NewService(cheapOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := testTopo() // 6 ranks
+	short := coll.NewSizeMatrix(5)
+	discard := func(_ interface{}, err error) error { return err }
+	cases := []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"PredictV wrong-rank matrix", func() error { return discard(svc.PredictV(topo, short)) }, "covers 5 ranks, topology has 6"},
+		{"BestV wrong-rank matrix", func() error { return discard(svc.BestV(topo, short)) }, "covers 5 ranks, topology has 6"},
+		{"SelectCoordinatorsV wrong-rank matrix", func() error { return discard(svc.SelectCoordinatorsV(topo, short)) }, "covers 5 ranks, topology has 6"},
+		{"Predict negative m", func() error { return discard(svc.Predict(topo, -1)) }, "negative M -1"},
+		{"Best negative m", func() error { return discard(svc.Best(topo, -1)) }, "negative M -1"},
+		{"PredictKind negative m", func() error { return discard(svc.PredictKind(topo, coll.KindAllgather, -1)) }, "negative M -1"},
+		{"SelectCoordinators negative m", func() error { return discard(svc.SelectCoordinators(topo, -1)) }, "negative M -1"},
+		{"PredictKind alltoallv without matrix", func() error { return discard(svc.PredictKind(topo, coll.KindAlltoallv, 4<<10)) }, "no Sizes matrix"},
+		{"BestKind alltoallv without matrix", func() error { return discard(svc.BestKind(topo, coll.KindAlltoallv, 4<<10)) }, "no Sizes matrix"},
+		{"SelectCoordinatorsKind alltoallv without matrix", func() error { return discard(svc.SelectCoordinatorsKind(topo, coll.KindAlltoallv, 4<<10)) }, "no Sizes matrix"},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: error = %v, want one naming %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+	// The planner keeps "mismatch is a programming error", with the same
+	// message.
+	pl, err := svc.PlannerFor(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "covers 5 ranks, topology has 6") {
+			t.Fatalf("Planner.PredictV on a wrong-rank matrix: recovered %v, want Validate's message", r)
+		}
+	}()
+	pl.PredictV(short)
+}

@@ -146,13 +146,13 @@ func TestGridSinglePointCurveBitIdentical(t *testing.T) {
 
 	n := scalar.TotalNodes()
 	for _, m := range []int{4 << 10, 64 << 10, 512 << 10} {
-		if a, b := scalar.PredictFlat(m), curved.PredictFlat(m); a != b {
+		if a, b := scalar.Predict(ata(m), FlatDirect, nil), curved.Predict(ata(m), FlatDirect, nil); a != b {
 			t.Fatalf("m=%d: flat scalar %v != flat curve %v", m, a, b)
 		}
-		if a, b := scalar.PredictHierGather(m), curved.PredictHierGather(m); a != b {
+		if a, b := scalar.Predict(ata(m), HierGather, nil), curved.Predict(ata(m), HierGather, nil); a != b {
 			t.Fatalf("m=%d: hier-gather scalar %v != curve %v", m, a, b)
 		}
-		if a, b := scalar.PredictHierDirect(m), curved.PredictHierDirect(m); a != b {
+		if a, b := scalar.Predict(ata(m), HierDirect, nil), curved.Predict(ata(m), HierDirect, nil); a != b {
 			t.Fatalf("m=%d: hier-direct scalar %v != curve %v", m, a, b)
 		}
 	}
@@ -162,13 +162,13 @@ func TestGridSinglePointCurveBitIdentical(t *testing.T) {
 	for j := 1; j < n; j++ {
 		hot.Set(0, j, 8*64<<10)
 	}
-	if a, b := scalar.PredictFlatV(hot), curved.PredictFlatV(hot); a != b {
+	if a, b := scalar.Predict(coll.Irregular(hot), FlatDirect, nil), curved.Predict(coll.Irregular(hot), FlatDirect, nil); a != b {
 		t.Fatalf("flatV scalar %v != curve %v", a, b)
 	}
-	if a, b := scalar.PredictHierGatherV(hot), curved.PredictHierGatherV(hot); a != b {
+	if a, b := scalar.Predict(coll.Irregular(hot), HierGather, nil), curved.Predict(coll.Irregular(hot), HierGather, nil); a != b {
 		t.Fatalf("hier-gatherV scalar %v != curve %v", a, b)
 	}
-	if a, b := scalar.PredictHierDirectV(hot), curved.PredictHierDirectV(hot); a != b {
+	if a, b := scalar.Predict(coll.Irregular(hot), HierDirect, nil), curved.Predict(coll.Irregular(hot), HierDirect, nil); a != b {
 		t.Fatalf("hier-directV scalar %v != curve %v", a, b)
 	}
 }
@@ -207,9 +207,9 @@ func TestGridVCurveLookupIsSkewAware(t *testing.T) {
 			}
 		}
 	}
-	curve := mk(falling).PredictHierDirectV(fat)
-	atCross := mk(ScalarFactor(falling.At(m))).PredictHierDirectV(fat)
-	atFat := mk(ScalarFactor(falling.At(8 * m))).PredictHierDirectV(fat)
+	curve := mk(falling).Predict(coll.Irregular(fat), HierDirect, nil)
+	atCross := mk(ScalarFactor(falling.At(m))).Predict(coll.Irregular(fat), HierDirect, nil)
+	atFat := mk(ScalarFactor(falling.At(8*m))).Predict(coll.Irregular(fat), HierDirect, nil)
 	if curve >= atCross {
 		t.Fatalf("fat local churn priced at the cross-size factor: curve %v !< scalar@m %v", curve, atCross)
 	}
@@ -225,20 +225,17 @@ func TestGridVCurveLookupIsSkewAware(t *testing.T) {
 func TestGridVAllZeroMatrixPredictsZero(t *testing.T) {
 	for name, g := range map[string]GridModel{"2lvl": gridModelFixture(), "3lvl": threeLevelFixture()} {
 		zero := coll.NewSizeMatrix(g.TotalNodes())
-		if got := g.PredictFlatV(zero); got != 0 {
+		if got := g.Predict(coll.Irregular(zero), FlatDirect, nil); got != 0 {
 			t.Fatalf("%s: flat all-zero = %v, want 0", name, got)
 		}
-		if got := g.PredictHierGatherV(zero); got != 0 {
+		if got := g.Predict(coll.Irregular(zero), HierGather, nil); got != 0 {
 			t.Fatalf("%s: hier-gather all-zero = %v, want 0", name, got)
 		}
-		if got := g.PredictHierDirectV(zero); got != 0 {
+		if got := g.Predict(coll.Irregular(zero), HierDirect, nil); got != 0 {
 			t.Fatalf("%s: hier-direct all-zero = %v, want 0", name, got)
 		}
-		f, s, r := g.FlatPartsV(zero)
-		for _, v := range []float64{f, s, r} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s: FlatPartsV on all-zero not finite: %v %v %v", name, f, s, r)
-			}
+		if p := g.Parts(coll.Irregular(zero), FlatDirect); p != (Parts{}) {
+			t.Fatalf("%s: flat decomposition of all-zero = %+v, want zeros", name, p)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"repro/internal/coll"
 	"repro/internal/obs"
 )
 
@@ -120,6 +121,32 @@ func (w WANModel) Transfer(bytes int) float64 {
 	return last.T + float64(bytes-last.Bytes)*w.BetaSteady()
 }
 
+// leg prices one WAN leg of concurrent flows through a tier's shared
+// uplink — the arithmetic every exchange, incast and flat crossing
+// shares: the flows ramp in parallel, each limited by the measured curve
+// at the largest single message (maxPer), while their aggregate (total
+// bytes) serializes at the wire rate. When port is a leaf child carrying
+// measured coordinator headroom (CoordBeta > 0), the leg is additionally
+// floored by serialization through the chosen coordinator ports — the
+// headroom asymmetry term: a slow coordinator NIC bounds the whole
+// aggregated exchange, and a C-way split spreads the aggregate over C
+// ports. An empty leg costs nothing.
+func (w WANModel) leg(maxPer, total int, port *ModelNode) float64 {
+	if total <= 0 {
+		return 0
+	}
+	t := w.Transfer(maxPer)
+	if wire := w.Alpha() + float64(total)*w.BetaWire; wire > t {
+		t = wire
+	}
+	if port != nil && port.IsLeaf() && port.CoordBeta > 0 {
+		if p := w.Alpha() + float64(total)/float64(port.coordSplit())*port.CoordBeta; p > t {
+			t = p
+		}
+	}
+	return t
+}
+
 // TransferShared predicts `flows` concurrent flows of bytesPerFlow each
 // through one uplink: each flow is individually curve-limited (they ramp
 // in parallel), while their aggregate serializes at the wire rate.
@@ -127,12 +154,7 @@ func (w WANModel) TransferShared(flows, bytesPerFlow int) float64 {
 	if flows <= 0 || bytesPerFlow <= 0 {
 		return 0
 	}
-	perFlow := w.Transfer(bytesPerFlow)
-	wire := w.Alpha() + float64(flows)*float64(bytesPerFlow)*w.BetaWire
-	if wire > perFlow {
-		return wire
-	}
-	return perFlow
+	return w.leg(bytesPerFlow, flows*bytesPerFlow, nil)
 }
 
 // ModelNode is one node of a grid model tree, mirroring the topology
@@ -162,15 +184,6 @@ type ModelNode struct {
 	// Children and Wan describe a group tier.
 	Children []*ModelNode
 	Wan      WANModel
-
-	// InnerCoordSet marks a group tier whose coordinator was chosen
-	// explicitly (planner coordinator selection at an inner tier rather
-	// than the first-child default). The upward incast into that tier's
-	// coordinator then behaves like the leaf gather's synchronized
-	// incast and is κ-charged with GatherGamma; false (the default)
-	// leaves the leg at its analytic serialization, reproducing the
-	// pre-selection model bit-identically.
-	InnerCoordSet bool
 }
 
 // coordSplit returns the leaf's effective coordinator count, clamped to
@@ -235,7 +248,37 @@ func (v *ModelNode) Leaves() []*ModelNode {
 	return out
 }
 
-// GridModel predicts All-to-All completion times on a multi-level grid:
+// Strategy is one candidate execution strategy of a collective on a
+// grid.
+type Strategy int
+
+const (
+	// FlatDirect runs the paper's Algorithm 1 (or the kind's flat kernel)
+	// over the whole grid, ignoring topology.
+	FlatDirect Strategy = iota
+	// HierGather runs coll.HierGather (sequential gather / per-tier
+	// coordinator exchange / scatter).
+	HierGather
+	// HierDirect runs coll.HierDirect (intra-cluster exchange
+	// overlapped with the coordinator relay).
+	HierDirect
+)
+
+// String names the strategy as used in experiment output.
+func (s Strategy) String() string {
+	switch s {
+	case FlatDirect:
+		return "flat-direct"
+	case HierGather:
+		return "hier-gather"
+	case HierDirect:
+		return "hier-direct"
+	default:
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+}
+
+// GridModel predicts collective completion times on a multi-level grid:
 // per-cluster contention signatures at the leaves, one WAN model (curve
 // plus per-level contention factor) per tier above them.
 type GridModel struct {
@@ -262,46 +305,35 @@ type GridModel struct {
 	// Zero — the default — keeps combining free, as the simulator and
 	// the paper's models assume; All-to-All predictions never read it.
 	CombineBeta float64
-	// Obs, when non-nil, receives one factor.lookup event per
-	// contention-curve read a prediction performs — which fitted
-	// FactorCurve points the lookup interpolated, at what effective
-	// size, and the resulting factor. Nil (the default) disables
-	// tracing; predictions then pay only nil checks. The planner
-	// installs its Options.Trace collector here.
-	Obs *obs.Collector
 }
 
-// emitLookup records one factor-curve read: the curve's role, the tier
-// height it belongs to (−1 for the strategy-level ω/κ factors), the
+// emitLookup records one factor-curve read on tr: the curve's role, the
+// tier height it belongs to (−1 for the strategy-level ω/κ factors), the
 // effective per-pair size looked up, the clamped factor, and the fitted
-// neighbor points the interpolation read. Callers guard with
-// g.Obs != nil so disabled predictions skip the Lookup re-derivation.
-func (g GridModel) emitLookup(curve string, height int, c FactorCurve, bytes int) {
+// neighbor points the interpolation read. Callers guard with tr != nil
+// so untraced predictions skip the Lookup re-derivation.
+func emitLookup(tr *obs.Collector, curve string, height int, c FactorCurve, bytes int) {
 	f, lo, hi := c.Lookup(bytes)
 	if f < 1 {
 		f = 1
 	}
-	g.Obs.Event("factor.lookup",
+	tr.Event("factor.lookup",
 		obs.Str("curve", curve), obs.Int("tier_height", height),
 		obs.Int("size", bytes), obs.F64("factor", f),
 		obs.Int("lo_bytes", lo.Bytes), obs.F64("lo_factor", lo.Factor),
 		obs.Int("hi_bytes", hi.Bytes), obs.F64("hi_factor", hi.Factor))
 }
 
-// emitFlatLookups records the per-tier γ_wan reads of a flat
+// emitFlatLookups records the per-tier γ_wan reads of a uniform flat
 // prediction, one event per group tier in tree order.
-func (g GridModel) emitFlatLookups(m int) {
-	var walk func(v *ModelNode)
-	walk = func(v *ModelNode) {
-		if v.IsLeaf() {
-			return
-		}
-		g.emitLookup("gamma_wan", v.Height(), v.Wan.Gamma, m)
-		for _, c := range v.Children {
-			walk(c)
-		}
+func emitFlatLookups(tr *obs.Collector, v *ModelNode, m int) {
+	if v.IsLeaf() {
+		return
 	}
-	walk(g.Root)
+	emitLookup(tr, "gamma_wan", v.Height(), v.Wan.Gamma, m)
+	for _, c := range v.Children {
+		emitFlatLookups(tr, c, m)
+	}
 }
 
 // Validate checks structural consistency.
@@ -336,173 +368,251 @@ func (g GridModel) TotalNodes() int { return g.Root.TotalNodes() }
 // Leaves returns the model's leaf clusters in tree order.
 func (g GridModel) Leaves() []*ModelNode { return g.Root.Leaves() }
 
-// intra returns the worst per-cluster intra-exchange time: each cluster
-// runs a local All-to-All among its own ranks, predicted by its
-// contention signature.
-func (g GridModel) intra(m int) float64 {
-	worst := 0.0
-	for _, lf := range g.Leaves() {
-		if t := lf.LAN.Predict(lf.Size, m); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// FlatParts decomposes the flat-exchange prediction for the worst leaf
-// cluster: `fixed` is the local LAN term plus the γ-weighted WAN terms
-// of every tier below the root (already fitted when the root is being
-// calibrated bottom-up), `startup` the per-round WAN start-ups across
-// all tiers, and `rootWan` the root tier's transfer term — the one the
-// root's Gamma multiplies. Planner calibration inverts this
-// decomposition to fit each tier's Gamma from a probe measurement,
-// innermost tiers first.
-func (g GridModel) FlatParts(m int) (fixed, startup, rootWan float64) {
-	worst := -1.0
-	var walkLeaf func(lf *ModelNode, ancestors []*ModelNode, childAt []*ModelNode)
-	walkLeaf = func(lf *ModelNode, ancestors []*ModelNode, childAt []*ModelNode) {
-		clan := lf.LAN.Predict(lf.Size, m)
-		cfixed, cstart, croot := clan, 0.0, 0.0
-		for i, a := range ancestors {
-			c := childAt[i]
-			lcaCount := a.TotalNodes() - c.TotalNodes()
-			if lcaCount == 0 {
-				continue
-			}
-			flows := c.TotalNodes() * lcaCount
-			cstart += float64(lcaCount) * a.Wan.Alpha()
-			wan := a.Wan.TransferShared(flows, m) - a.Wan.Alpha()
-			if a == g.Root {
-				croot = wan
-			} else {
-				cfixed += wan * gammaAt(a.Wan.Gamma, m)
-			}
-		}
-		if t := cfixed + cstart + croot; t > worst {
-			worst, fixed, startup, rootWan = t, cfixed, cstart, croot
-		}
-	}
-	var walk func(v *ModelNode, ancestors, childAt []*ModelNode)
-	walk = func(v *ModelNode, ancestors, childAt []*ModelNode) {
-		if v.IsLeaf() {
-			walkLeaf(v, ancestors, childAt)
-			return
-		}
-		for _, c := range v.Children {
-			// Ancestors are ordered outermost-first; childAt[i] is the
-			// child of ancestors[i] the leaf sits under.
-			walk(c, append(append([]*ModelNode(nil), ancestors...), v),
-				append(append([]*ModelNode(nil), childAt...), c))
-		}
-	}
-	walk(g.Root, nil, nil)
-	return fixed, startup, rootWan
-}
-
-// PredictFlat models the flat direct exchange: intra-cluster traffic
-// behaves per the local signature, every rank pays the start-up of each
-// of its remote rounds at the tier where the pair diverges, and each
-// tier's crossing volume serializes through its shared uplinks inflated
-// by that tier's fitted contention factor.
-func (g GridModel) PredictFlat(m int) float64 {
-	if g.TotalNodes() <= 1 {
+// Predict returns the predicted completion time of workload w under
+// strategy s — the model's one prediction entry; kind, size and
+// regular-vs-irregular are fields of w, not method names. Every kind is
+// priced from the same fitted ingredients (per-tier transfer curves and
+// γ_wan, ω, κ, coordinator-port headroom); what changes with the
+// workload is only the byte volume each leg carries, read from one
+// volume source (volumes.go):
+//
+//   - All-to-All(v): FlatDirect is the flat direct exchange — intra-
+//     cluster traffic behaves per the local signature, every rank pays
+//     the start-up of each of its remote rounds at the tier where the
+//     pair diverges, and each tier's crossing volume serializes through
+//     its shared uplinks inflated by that tier's fitted contention
+//     factor. HierGather runs the intra-cluster exchange and the
+//     per-tier relay sweeps back to back; HierDirect overlaps them (see
+//     Parts). An irregular exchange prices every leg by the size
+//     matrix's actual cut and looks each factor curve up at the leg's
+//     effective per-flow size; a uniform matrix is priced as the regular
+//     All-to-All at its per-pair size, bit-identically.
+//   - Allgather and Reduce-scatter ride the All-to-All relay structure
+//     with deduplicated per-leg volumes (kinds.go); Broadcast, Reduce
+//     and Allreduce relay one payload per hop of the delegate tree.
+//     Their plans are structurally identical under both hierarchical
+//     algorithm variants, so every non-flat strategy prices the one
+//     hierarchical plan, and FlatDirect prices the kind's flat kernel.
+//
+// A workload that moves no bytes (M = 0, an all-zero matrix) and a grid
+// of at most one node predict 0. tr, when non-nil, receives one
+// factor.lookup event per strategy-level contention-curve read — which
+// fitted FactorCurve points the lookup interpolated, at what effective
+// size, and the resulting factor; nil predictions pay only nil checks.
+// A workload that fails coll.Workload.Validate for the grid's rank count
+// is a programming error and panics with Validate's message.
+func (g GridModel) Predict(w coll.Workload, s Strategy, tr *obs.Collector) float64 {
+	src, m := g.volumesOf(w)
+	if src == nil && m == 0 || g.TotalNodes() <= 1 {
 		return 0
 	}
-	fixed, startup, rootWan := g.FlatParts(m)
-	gamma := 1.0
-	if !g.Root.IsLeaf() {
-		gamma = gammaAt(g.Root.Wan.Gamma, m)
+	switch {
+	case w.Kind == coll.KindAlltoall || w.Kind == coll.KindAlltoallv:
+		return g.predictExchange(src, m, s, tr)
+	case s == FlatDirect:
+		return g.flatKernel(w.Kind, w.M)
+	case w.Kind == coll.KindAllgather || w.Kind == coll.KindReduceScatter:
+		// The weighted relay sums its legs one by one; the fitted
+		// per-kind correction curves were inverted against this order.
+		leaves := g.Leaves()
+		xchg, scatter := g.tierLegs(src)
+		up, down, _ := g.leafLegs(src, leaves)
+		if tr != nil {
+			emitLookup(tr, "kappa", -1, g.GatherGamma, w.M)
+		}
+		return intra(src, leaves) + xchg + scatter + (up+down)*gammaAt(g.GatherGamma, w.M)
+	default:
+		return g.rootedHier(w.Kind, w.M, tr)
 	}
-	if g.Obs != nil {
-		g.emitFlatLookups(m)
-	}
-	return fixed + startup + rootWan*gamma
 }
 
-// exchangeAt returns the worst-child time of the aggregated coordinator
-// exchange at group tier v: one message per sibling pair, posted
-// concurrently; per-flow curve limit vs aggregate wire limit. When a
-// leaf child carries measured coordinator headroom (CoordBeta > 0), its
-// outbound aggregate is additionally floored by serialization through
-// the chosen coordinator ports — the headroom asymmetry term: a slow
-// coordinator NIC bounds the whole aggregated exchange, and a C-way
-// split spreads the aggregate over C ports.
-func (g GridModel) exchangeAt(v *ModelNode, m int) float64 {
-	worst := 0.0
-	for _, c := range v.Children {
-		maxPer, total := 0, 0
-		for _, d := range v.Children {
-			if d != c {
-				b := c.TotalNodes() * d.TotalNodes() * m
-				total += b
-				if b > maxPer {
-					maxPer = b
-				}
-			}
+// predictExchange sums an All-to-All(v) decomposition with the
+// strategy's fitted factor read at the legs' effective size, or at the
+// uniform per-pair size m when the exchange has one (m > 0).
+func (g GridModel) predictExchange(src volumes, m int, s Strategy, tr *obs.Collector) float64 {
+	p, size := g.parts(src, s)
+	uniform := m > 0
+	if uniform {
+		// A uniform exchange reads every curve at m itself, also on grids
+		// whose singleton leaves leave no leg to derive a size from.
+		size = m
+	}
+	switch s {
+	case FlatDirect:
+		f := 1.0
+		if !g.Root.IsLeaf() {
+			f = gammaAt(g.Root.Wan.Gamma, size)
 		}
-		if total == 0 {
+		// A uniform prediction reports every tier's γ_wan read, an
+		// irregular one only the root's — the inner reads happen at
+		// per-leaf sizes inside the decomposition.
+		if tr != nil && uniform {
+			emitFlatLookups(tr, g.Root, size)
+		} else if tr != nil && !g.Root.IsLeaf() {
+			emitLookup(tr, "gamma_wan", g.Root.Height(), g.Root.Wan.Gamma, size)
+		}
+		return p.A + p.B + p.Scaled*f
+	case HierGather:
+		if tr != nil {
+			emitLookup(tr, "kappa", -1, g.GatherGamma, size)
+		}
+		return p.A + p.B + p.Scaled*gammaAt(g.GatherGamma, size)
+	default:
+		if tr != nil {
+			emitLookup(tr, "omega", -1, g.OverlapGamma, size)
+		}
+		return p.A + p.Scaled*gammaAt(g.OverlapGamma, size) + p.B
+	}
+}
+
+// Parts splits an All-to-All(v) prediction around the one leg its
+// strategy's fitted factor f multiplies; planner calibration inverts it
+// for f = (T − A − B) / Scaled from a probe measurement T.
+//
+//	strategy    A       B        Scaled   f           prediction
+//	FlatDirect  fixed   startup  rootWan  root γ_wan  (A + B) + Scaled·f
+//	HierGather  intra   xchg     local    κ           (A + B) + Scaled·f
+//	HierDirect  phase0  scatter  xchg     ω           (A + Scaled·f) + B
+//
+// FlatDirect decomposes the worst leaf cluster: fixed is the local LAN
+// term plus the γ-weighted WAN terms of every tier below the root
+// (already fitted when the root is being calibrated bottom-up), startup
+// the per-round WAN start-ups across all tiers (only rounds that carry
+// bytes in either direction), and rootWan the root tier's transfer term.
+//
+// HierGather: the intra-cluster exchange, the summed per-tier WAN legs
+// (exchange, upward gather, downward scatter), and the combined local
+// leaf gather+scatter legs — the synchronized coordinator incast.
+//
+// HierDirect: its opening phase pushes the intra-cluster exchange and
+// the gathers into the LAN at once, so each cluster behaves like a local
+// All-to-All with the per-pair volume inflated to the worst rank's full
+// outbound data spread over its s−1 local partners — the local
+// contention signature then prices the overlap, which is exactly what
+// makes overlap a loss on high-γ networks. The relay follows, its summed
+// WAN exchange legs being dependency-ordered behind the gathers, and the
+// scatter legs (per-tier plus leaf-local) close the plan.
+type Parts struct{ A, B, Scaled float64 }
+
+// Parts returns strategy s's decomposition of an All-to-All(v)
+// workload. A workload that moves no bytes decomposes to zeros.
+func (g GridModel) Parts(w coll.Workload, s Strategy) Parts {
+	if w.Kind != coll.KindAlltoall && w.Kind != coll.KindAlltoallv {
+		panic(fmt.Sprintf("model: no decomposition for %v", w.Kind))
+	}
+	src, _ := g.volumesOf(w)
+	if src == nil {
+		return Parts{}
+	}
+	p, _ := g.parts(src, s)
+	return p
+}
+
+// parts is Parts over a resolved volume source, plus the effective
+// per-pair size the strategy's factor curve is looked up at: the worst
+// leaf's root-tier cut size (flat), the worst leaves' incast size (κ),
+// or the worst leaf's local per-pair size (ω — the factor prices the
+// loss recovery relay flows pay while the intra-cluster exchange churns
+// the LAN, and that churn's intensity is the local exchange's per-pair
+// volume: thin local blocks interfere far less than the uniform probe at
+// the cross-pair size did, a hotspot's fat local rows far more).
+func (g GridModel) parts(src volumes, s Strategy) (Parts, int) {
+	if s == FlatDirect {
+		return g.flatParts(src)
+	}
+	leaves := g.Leaves()
+	xchg, tierScatter := g.tierLegs(src)
+	gather, scatter, incast := g.leafLegs(src, leaves)
+	if s == HierGather {
+		return Parts{A: intra(src, leaves), B: xchg + tierScatter, Scaled: gather + scatter}, incast
+	}
+	phase0, churn := 0.0, 0
+	for _, lf := range leaves {
+		if eff, ok := src.local(lf); ok && eff > churn {
+			churn = eff
+		}
+		if lf.Size <= 1 {
 			continue
 		}
-		perFlow := v.Wan.Transfer(maxPer)
-		wire := v.Wan.Alpha() + float64(total)*v.Wan.BetaWire
-		t := perFlow
-		if wire > t {
-			t = wire
-		}
-		if c.IsLeaf() && c.CoordBeta > 0 {
-			port := v.Wan.Alpha() + float64(total)/float64(c.coordSplit())*c.CoordBeta
-			if port > t {
-				t = port
+		if out := src.outbound(lf); out > 0 {
+			if t := lf.LAN.Predict(lf.Size, out/(lf.Size-1)); t > phase0 {
+				phase0 = t
 			}
 		}
-		if t > worst {
-			worst = t
+	}
+	return Parts{A: phase0, B: tierScatter + scatter, Scaled: xchg}, churn
+}
+
+// intra returns the worst per-cluster intra-exchange time: each cluster
+// runs a local All-to-All among its own ranks, predicted by its
+// contention signature at its effective local per-pair size.
+func intra(src volumes, leaves []*ModelNode) float64 {
+	worst := 0.0
+	for _, lf := range leaves {
+		if eff, ok := src.local(lf); ok {
+			if t := lf.LAN.Predict(lf.Size, eff); t > worst {
+				worst = t
+			}
 		}
 	}
 	return worst
 }
 
-// collectAt returns the incast time of the upward gather into tier v's
-// coordinator (or, symmetrically, the downward scatter from it): every
-// child except the coordinator's own forwards its subtree's
-// outside-bound volume across tier v's links. Zero at the root, which
-// has no outside.
-func (g GridModel) collectAt(v *ModelNode, m int, outsideN int) float64 {
-	if outsideN == 0 || len(v.Children) < 2 {
-		return 0
-	}
-	maxPer, total := 0, 0
-	for i, c := range v.Children {
-		if i == 0 {
-			continue // the first child hosts the tier coordinator
+// flatParts is the flat decomposition: every leaf is priced against
+// each of its ancestor tiers — start-ups for the rounds that diverge
+// there, the tier's crossing cut through the leg pricer, inner tiers
+// inflated by their γ_wan at the cut's effective per-flow size — and
+// the worst leaf's terms are kept, with its root-tier cut size.
+func (g GridModel) flatParts(src volumes) (p Parts, rootEff int) {
+	worst := -1.0
+	// anc holds the ancestors of the leaf being priced, outermost first;
+	// under[i] is the child of anc[i] the leaf sits under.
+	var anc, under []*ModelNode
+	var walk func(v *ModelNode)
+	walk = func(v *ModelNode) {
+		if !v.IsLeaf() {
+			for _, c := range v.Children {
+				anc, under = append(anc, v), append(under, c)
+				walk(c)
+				anc, under = anc[:len(anc)-1], under[:len(under)-1]
+			}
+			return
 		}
-		b := c.TotalNodes() * outsideN * m
-		total += b
-		if b > maxPer {
-			maxPer = b
+		fixed, startup, rootWan, eff := 0.0, 0.0, 0.0, 0
+		if size, ok := src.local(v); ok {
+			fixed = v.LAN.Predict(v.Size, size)
+		}
+		for i, a := range anc {
+			startup += float64(src.rounds(v, a, under[i])) * a.Wan.Alpha()
+			cut, maxPair, flows := src.cut(a, under[i])
+			if cut == 0 {
+				continue
+			}
+			wan := a.Wan.leg(maxPair, cut, nil) - a.Wan.Alpha()
+			if a == g.Root {
+				rootWan, eff = wan, effSize(cut, flows)
+			} else {
+				fixed += wan * gammaAt(a.Wan.Gamma, effSize(cut, flows))
+			}
+		}
+		if t := fixed + startup + rootWan; t > worst {
+			worst, p, rootEff = t, Parts{A: fixed, B: startup, Scaled: rootWan}, eff
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	perFlow := v.Wan.Transfer(maxPer)
-	wire := v.Wan.Alpha() + float64(total)*v.Wan.BetaWire
-	if wire > perFlow {
-		return wire
-	}
-	return perFlow
+	walk(g.Root)
+	return p, rootEff
 }
 
 // tierLegs sums the WAN legs of the hierarchical relay over the tree:
-// per height, the worst group's exchange plus upward gather (tiers at
-// one height run concurrently, different heights sequentially), and per
-// depth, the worst group's downward scatter. Both sums are zero on
-// two-level grids' inner structure — exchange at the root is the only
-// crossing — which is exactly PR 1's model.
-func (g GridModel) tierLegs(m int) (xchg, scatter float64) {
+// per height, the worst group's coordinator exchange plus upward gather
+// (tiers at one height run concurrently, different heights
+// sequentially), and per depth, the worst group's downward scatter.
+// Both gather and scatter are zero at the root, which has no outside, so
+// a two-level grid's only crossing is the root exchange.
+func (g GridModel) tierLegs(src volumes) (xchg, scatter float64) {
 	n := g.TotalNodes()
-	byHeight := map[int]float64{}
-	byDepth := map[int]float64{}
+	byHeight := make([]float64, g.Root.Height()+1)
+	byDepth := make([]float64, len(byHeight))
 	var walk func(v *ModelNode, depth int)
 	walk = func(v *ModelNode, depth int) {
 		if v.IsLeaf() {
@@ -511,21 +621,15 @@ func (g GridModel) tierLegs(m int) (xchg, scatter float64) {
 		for _, c := range v.Children {
 			walk(c, depth+1)
 		}
-		out := n - v.TotalNodes()
-		incast := g.collectAt(v, m, out)
-		if v.InnerCoordSet {
-			// An explicitly-chosen inner-tier coordinator synchronizes
-			// its children's forwards into a genuine incast on its port,
-			// like the leaf gather: κ-charge the leg (satellite of the
-			// collective-suite refactor; default coords keep the
-			// analytic serialization bit-identically).
-			incast *= gammaAt(g.GatherGamma, m)
+		up, down := 0.0, 0.0
+		if v.TotalNodes() < n {
+			up, down = collectAt(v, src, true), collectAt(v, src, false)
 		}
-		if t := g.exchangeAt(v, m) + incast; t > byHeight[v.Height()] {
+		if t := exchangeAt(v, src) + up; t > byHeight[v.Height()] {
 			byHeight[v.Height()] = t
 		}
-		if depth > 0 && incast > byDepth[depth] {
-			byDepth[depth] = incast
+		if depth > 0 && down > byDepth[depth] {
+			byDepth[depth] = down
 		}
 	}
 	walk(g.Root, 0)
@@ -538,19 +642,59 @@ func (g GridModel) tierLegs(m int) (xchg, scatter float64) {
 	return xchg, scatter
 }
 
-// leafLocal returns the worst leaf's gather (equivalently scatter) leg:
-// s−1 local transfers of a rank's remote-bound volume, serialized at
-// the coordinator NIC. With C coordinators the volume partitions by
-// divergence target, so each of the C concurrent incasts moves a 1/C
-// share per member — the C-way split of the κ-priced term. Measured
-// coordinator headroom (CoordBeta) replaces the nominal LAN gap when
-// present; both default to the pre-selection model.
-func (g GridModel) leafLocal(m int) float64 {
-	n := g.TotalNodes()
+// exchangeAt returns the worst-child time of the aggregated coordinator
+// exchange at group tier v: one message per ordered sibling pair, posted
+// concurrently, floored by the sending child's coordinator ports.
+func exchangeAt(v *ModelNode, src volumes) float64 {
 	worst := 0.0
-	for _, lf := range g.Leaves() {
-		s := lf.Size
-		if s <= 1 || n == s {
+	for _, c := range v.Children {
+		maxPer, total := 0, 0
+		for _, d := range v.Children {
+			if d != c {
+				b := src.pair(c, d)
+				total += b
+				if b > maxPer {
+					maxPer = b
+				}
+			}
+		}
+		if t := v.Wan.leg(maxPer, total, c); t > worst {
+			worst = t
+		}
+	}
+	return worst
+}
+
+// collectAt returns the incast time of the upward gather into tier v's
+// coordinator (up) or the fan-out of the downward scatter from it: every
+// child except the coordinator's own — the first — moves its relayed
+// volume across tier v's links.
+func collectAt(v *ModelNode, src volumes, up bool) float64 {
+	maxPer, total := 0, 0
+	for _, c := range v.Children[1:] {
+		b := src.relayed(v, c, up)
+		total += b
+		if b > maxPer {
+			maxPer = b
+		}
+	}
+	return v.Wan.leg(maxPer, total, nil)
+}
+
+// leafLegs returns the worst leaf's local gather and scatter legs: s−1
+// transfers into (out of) the coordinator set, serialized at the
+// coordinator NIC. With C coordinators the volume partitions by
+// divergence target, so each of the C concurrent incasts moves a 1/C
+// share — the C-way split of the κ-priced term. Measured coordinator
+// headroom (CoordBeta) replaces the nominal LAN gap when present; both
+// default to the pre-selection model. incast is the κ lookup size: the
+// worst gather leaf's and the worst scatter leaf's relayed bytes spread
+// over their nonzero remote pairs.
+func (g GridModel) leafLegs(src volumes, leaves []*ModelNode) (gather, scatter float64, incast int) {
+	n := g.TotalNodes()
+	var gb, gp, sb, sp int
+	for _, lf := range leaves {
+		if lf.Size <= 1 || lf.Size == n {
 			continue
 		}
 		h := lf.LAN.H
@@ -559,70 +703,12 @@ func (g GridModel) leafLocal(m int) float64 {
 			beta = lf.CoordBeta
 		}
 		c := float64(lf.coordSplit())
-		if t := float64(s-1) * (h.Alpha + float64((n-s)*m)*beta/c); t > worst {
-			worst = t
+		if t, b, p := src.leafRelay(lf, true, h.Alpha, beta, c); t > gather {
+			gather, gb, gp = t, b, p
+		}
+		if t, b, p := src.leafRelay(lf, false, h.Alpha, beta, c); t > scatter {
+			scatter, sb, sp = t, b, p
 		}
 	}
-	return worst
-}
-
-// HierGatherParts decomposes the sequential hierarchical algorithm: the
-// intra-cluster exchange, the summed per-tier WAN legs (exchange,
-// upward gather, downward scatter), and the combined local leaf
-// gather+scatter legs that GatherGamma multiplies (the synchronized
-// coordinator incast; planner calibration inverts this decomposition).
-func (g GridModel) HierGatherParts(m int) (intra, xchg, local float64) {
-	tx, ts := g.tierLegs(m)
-	return g.intra(m), tx + ts, 2 * g.leafLocal(m)
-}
-
-// PredictHierGather models the sequential hierarchical algorithm: the
-// intra-cluster exchange and the per-tier relay sweeps run back to back.
-func (g GridModel) PredictHierGather(m int) float64 {
-	if g.TotalNodes() <= 1 {
-		return 0
-	}
-	intra, xchg, local := g.HierGatherParts(m)
-	if g.Obs != nil {
-		g.emitLookup("kappa", -1, g.GatherGamma, m)
-	}
-	return intra + xchg + local*gammaAt(g.GatherGamma, m)
-}
-
-// HierDirectParts decomposes the overlapped algorithm's prediction. Its
-// opening phase pushes the intra-cluster exchange and the gathers into
-// the LAN at once, so each cluster behaves like a local All-to-All with
-// the per-pair volume inflated to the rank's full outbound data,
-// (n−1)·m/(s−1) — the local contention signature then prices the
-// overlap, which is exactly what makes overlap a loss on high-γ
-// networks. The relay follows, its summed WAN exchange legs being
-// dependency-ordered behind the gathers; OverlapGamma multiplies those
-// legs (planner calibration inverts this decomposition to fit it), and
-// the scatter legs (per-tier plus leaf-local) close the plan.
-func (g GridModel) HierDirectParts(m int) (phase0, xchg, scatter float64) {
-	n := g.TotalNodes()
-	for _, lf := range g.Leaves() {
-		s := lf.Size
-		if s <= 1 {
-			continue
-		}
-		inflated := (n - 1) * m / (s - 1)
-		if t := lf.LAN.Predict(s, inflated); t > phase0 {
-			phase0 = t
-		}
-	}
-	tx, ts := g.tierLegs(m)
-	return phase0, tx, ts + g.leafLocal(m)
-}
-
-// PredictHierDirect models the overlapped hierarchical algorithm.
-func (g GridModel) PredictHierDirect(m int) float64 {
-	if g.TotalNodes() <= 1 {
-		return 0
-	}
-	phase0, xchg, scatter := g.HierDirectParts(m)
-	if g.Obs != nil {
-		g.emitLookup("omega", -1, g.OverlapGamma, m)
-	}
-	return phase0 + xchg*gammaAt(g.OverlapGamma, m) + scatter
+	return gather, scatter, effSize(gb+sb, gp+sp)
 }

@@ -3,7 +3,12 @@ package model
 import (
 	"math"
 	"testing"
+
+	"repro/internal/coll"
 )
+
+// ata is the regular All-to-All workload at per-pair size m.
+func ata(m int) coll.Workload { return coll.Uniform(coll.KindAlltoall, m) }
 
 func testWan() WANModel {
 	return WANModel{
@@ -120,16 +125,16 @@ func TestGridModelValidate(t *testing.T) {
 func TestGridPredictionsPositiveAndOrdered(t *testing.T) {
 	for name, g := range map[string]GridModel{"2lvl": gridModelFixture(), "3lvl": threeLevelFixture()} {
 		for _, m := range []int{4 << 10, 64 << 10, 512 << 10} {
-			flat := g.PredictFlat(m)
-			hg := g.PredictHierGather(m)
-			hd := g.PredictHierDirect(m)
+			flat := g.Predict(ata(m), FlatDirect, nil)
+			hg := g.Predict(ata(m), HierGather, nil)
+			hd := g.Predict(ata(m), HierDirect, nil)
 			if flat <= 0 || hg <= 0 || hd <= 0 {
 				t.Fatalf("%s m=%d: nonpositive predictions flat=%v hg=%v hd=%v", name, m, flat, hg, hd)
 			}
 			// The WAN exchange legs are common to both hierarchical
 			// variants; they differ only in how the LAN legs combine, so
 			// both must exceed the bare exchange time.
-			xchg, _ := g.tierLegs(m)
+			xchg := g.Parts(ata(m), HierDirect).Scaled
 			if hg <= xchg || hd <= xchg {
 				t.Fatalf("%s m=%d: hierarchical predictions below their WAN legs", name, m)
 			}
@@ -139,16 +144,16 @@ func TestGridPredictionsPositiveAndOrdered(t *testing.T) {
 
 func TestGridPredictFlatGammaScaling(t *testing.T) {
 	g := gridModelFixture()
-	lo := g.PredictFlat(64 << 10)
+	lo := g.Predict(ata(64<<10), FlatDirect, nil)
 	g.Root.Wan.Gamma = ScalarFactor(30)
-	hi := g.PredictFlat(64 << 10)
+	hi := g.Predict(ata(64<<10), FlatDirect, nil)
 	if hi <= lo {
 		t.Fatalf("raising γ_wan must raise the flat prediction (%v -> %v)", lo, hi)
 	}
-	lan, startup, wan := g.FlatParts(64 << 10)
-	want := lan + startup + wan*30
+	p := g.Parts(ata(64<<10), FlatDirect)
+	want := p.A + p.B + p.Scaled*30
 	if math.Abs(hi-want) > 1e-12 {
-		t.Fatalf("PredictFlat = %v, want decomposition %v", hi, want)
+		t.Fatalf("flat prediction = %v, want decomposition %v", hi, want)
 	}
 }
 
@@ -160,10 +165,10 @@ func TestGridDeeperTierRaisesPrediction(t *testing.T) {
 	// A two-level model of just one nation of the 3-level fixture.
 	nation := GridModel{Root: g3.Root.Children[0]}
 	for _, m := range []int{16 << 10, 64 << 10} {
-		if g3.PredictFlat(m) <= nation.PredictFlat(m) {
+		if g3.Predict(ata(m), FlatDirect, nil) <= nation.Predict(ata(m), FlatDirect, nil) {
 			t.Fatalf("m=%d: 3-level flat not above its single-nation sub-grid", m)
 		}
-		if g3.PredictHierGather(m) <= nation.PredictHierGather(m) {
+		if g3.Predict(ata(m), HierGather, nil) <= nation.Predict(ata(m), HierGather, nil) {
 			t.Fatalf("m=%d: 3-level hier-gather not above its single-nation sub-grid", m)
 		}
 	}
@@ -196,7 +201,7 @@ func TestGridTwoLevelMatchesClosedForm(t *testing.T) {
 			}
 		}
 		wantFlat := lan + startup + wanT*3
-		if got := g.PredictFlat(m); math.Abs(got-wantFlat) > 1e-12 {
+		if got := g.Predict(ata(m), FlatDirect, nil); math.Abs(got-wantFlat) > 1e-12 {
 			t.Fatalf("m=%d: flat = %v, want closed form %v", m, got, wantFlat)
 		}
 
@@ -237,7 +242,7 @@ func TestGridTwoLevelMatchesClosedForm(t *testing.T) {
 			}
 		}
 		wantHG := intra + xchg + 2*gather*1.5
-		if got := g.PredictHierGather(m); math.Abs(got-wantHG) > 1e-12 {
+		if got := g.Predict(ata(m), HierGather, nil); math.Abs(got-wantHG) > 1e-12 {
 			t.Fatalf("m=%d: hier-gather = %v, want closed form %v", m, got, wantHG)
 		}
 
@@ -249,7 +254,7 @@ func TestGridTwoLevelMatchesClosedForm(t *testing.T) {
 			}
 		}
 		wantHD := phase0 + xchg*2.5 + gather
-		if got := g.PredictHierDirect(m); math.Abs(got-wantHD) > 1e-12 {
+		if got := g.Predict(ata(m), HierDirect, nil); math.Abs(got-wantHD) > 1e-12 {
 			t.Fatalf("m=%d: hier-direct = %v, want closed form %v", m, got, wantHD)
 		}
 	}
@@ -260,10 +265,10 @@ func TestGridSingleClusterDegeneratesToSignature(t *testing.T) {
 	g := GridModel{Root: LeafNode(6, sig)}
 	m := 32 << 10
 	want := sig.Predict(6, m)
-	if got := g.PredictFlat(m); math.Abs(got-want) > 1e-12 {
+	if got := g.Predict(ata(m), FlatDirect, nil); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("single-cluster flat = %v, want pure signature %v", got, want)
 	}
-	if got := g.PredictHierGather(m); math.Abs(got-want) > 1e-12 {
+	if got := g.Predict(ata(m), HierGather, nil); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("single-cluster hier-gather = %v, want pure signature %v", got, want)
 	}
 }
@@ -275,13 +280,13 @@ func TestGridSingleClusterDegeneratesToSignature(t *testing.T) {
 func TestGridCoordSplitLowersGatherLeg(t *testing.T) {
 	m := 64 << 10
 	base := gridModelFixture()
-	_, _, local1 := base.HierGatherParts(m)
+	local1 := base.Parts(ata(m), HierGather).Scaled
 
 	split := gridModelFixture()
 	for _, lf := range split.Leaves() {
 		lf.NumCoords = 2
 	}
-	_, _, local2 := split.HierGatherParts(m)
+	local2 := split.Parts(ata(m), HierGather).Scaled
 
 	sig := testSig()
 	s, n := 4, 8
@@ -293,7 +298,7 @@ func TestGridCoordSplitLowersGatherLeg(t *testing.T) {
 	if math.Abs(local2-want2) > 1e-12 {
 		t.Fatalf("2-way split local leg = %v, want closed form %v", local2, want2)
 	}
-	if split.PredictHierGather(m) >= base.PredictHierGather(m) {
+	if split.Predict(ata(m), HierGather, nil) >= base.Predict(ata(m), HierGather, nil) {
 		t.Fatal("2-way coordinator split must lower the hier-gather prediction")
 	}
 
@@ -303,7 +308,7 @@ func TestGridCoordSplitLowersGatherLeg(t *testing.T) {
 	for _, lf := range one.Leaves() {
 		lf.NumCoords = 1
 	}
-	if one.PredictHierGather(m) != base.PredictHierGather(m) {
+	if one.Predict(ata(m), HierGather, nil) != base.Predict(ata(m), HierGather, nil) {
 		t.Fatal("NumCoords=1 must equal the default prediction")
 	}
 	over := gridModelFixture()
@@ -314,7 +319,7 @@ func TestGridCoordSplitLowersGatherLeg(t *testing.T) {
 	for _, lf := range clamped.Leaves() {
 		lf.NumCoords = 4 // leaf size
 	}
-	if over.PredictHierGather(m) != clamped.PredictHierGather(m) {
+	if over.Predict(ata(m), HierGather, nil) != clamped.Predict(ata(m), HierGather, nil) {
 		t.Fatal("NumCoords beyond the leaf size must clamp to it")
 	}
 }
@@ -327,14 +332,15 @@ func TestGridCoordSplitLowersGatherLeg(t *testing.T) {
 func TestGridCoordBetaHeadroomAsymmetry(t *testing.T) {
 	m := 64 << 10
 	base := gridModelFixture()
-	_, xchgBase, _ := base.HierGatherParts(m)
+	xchgBase := base.Parts(ata(m), HierGather).B
 
 	slow := gridModelFixture()
 	slowBeta := 100 * testSig().H.Beta // a NIC two orders slower
 	for _, lf := range slow.Leaves() {
 		lf.CoordBeta = slowBeta
 	}
-	_, xchgSlow, localSlow := slow.HierGatherParts(m)
+	ps := slow.Parts(ata(m), HierGather)
+	xchgSlow, localSlow := ps.B, ps.Scaled
 	if xchgSlow <= xchgBase {
 		t.Fatalf("slow coordinator NIC must floor the exchange leg (%v -> %v)", xchgBase, xchgSlow)
 	}
@@ -344,10 +350,10 @@ func TestGridCoordBetaHeadroomAsymmetry(t *testing.T) {
 	if math.Abs(xchgSlow-wantFloor) > 1e-12 {
 		t.Fatalf("exchange floor = %v, want port serialization %v", xchgSlow, wantFloor)
 	}
-	if slow.PredictHierGather(m) <= base.PredictHierGather(m) {
+	if slow.Predict(ata(m), HierGather, nil) <= base.Predict(ata(m), HierGather, nil) {
 		t.Fatal("degraded coordinator NIC must raise the hier-gather prediction")
 	}
-	if slow.PredictHierDirect(m) <= base.PredictHierDirect(m) {
+	if slow.Predict(ata(m), HierDirect, nil) <= base.Predict(ata(m), HierDirect, nil) {
 		t.Fatal("degraded coordinator NIC must raise the hier-direct prediction")
 	}
 
@@ -358,7 +364,8 @@ func TestGridCoordBetaHeadroomAsymmetry(t *testing.T) {
 		lf.CoordBeta = slowBeta
 		lf.NumCoords = 2
 	}
-	_, xchgSplit, localSplit := split.HierGatherParts(m)
+	ps = split.Parts(ata(m), HierGather)
+	xchgSplit, localSplit := ps.B, ps.Scaled
 	if xchgSplit >= xchgSlow || localSplit >= localSlow {
 		t.Fatalf("2-way split must relieve the port bottleneck (xchg %v->%v, local %v->%v)",
 			xchgSlow, xchgSplit, localSlow, localSplit)

@@ -16,77 +16,76 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
-// TestGridVUniformBitEqual pins the fast path the acceptance criteria
-// demand: fed a uniform matrix, every v-prediction must be bit-equal to
-// the existing closed-form predictor at m — on two-level and 3-level
-// fixtures, with non-trivial contention factors and coordinator splits.
+// TestGridVUniformBitEqual pins the uniform ≡ irregular identity: fed a
+// uniform matrix, every irregular prediction must be bit-equal to the
+// regular All-to-All at m — on two-level and 3-level fixtures, with
+// non-trivial contention factors and coordinator splits. m = 0 is the
+// boundary row: an exchange that owes no bytes predicts exactly 0 under
+// either spelling and decomposes to zeros, never to a negative term.
 func TestGridVUniformBitEqual(t *testing.T) {
-	mk := func(name string, g GridModel) (string, GridModel) {
+	mk := func(g GridModel) GridModel {
 		g.OverlapGamma = ScalarFactor(2.5)
 		g.GatherGamma = ScalarFactor(1.5)
-		return name, g
+		return g
 	}
-	fixtures := map[string]GridModel{}
-	for _, f := range []func() (string, GridModel){
-		func() (string, GridModel) { return mk("2lvl", gridModelFixture()) },
-		func() (string, GridModel) { return mk("3lvl", threeLevelFixture()) },
-		func() (string, GridModel) {
-			name, g := mk("2lvl-split", gridModelFixture())
-			g.Leaves()[0].NumCoords = 2
-			g.Leaves()[0].CoordBeta = 3e-8
-			return name, g
-		},
+	split := mk(gridModelFixture())
+	split.Leaves()[0].NumCoords = 2
+	split.Leaves()[0].CoordBeta = 3e-8
+	for name, g := range map[string]GridModel{
+		"2lvl": mk(gridModelFixture()), "3lvl": mk(threeLevelFixture()), "2lvl-split": split,
 	} {
-		name, g := f()
-		fixtures[name] = g
-	}
-	for name, g := range fixtures {
 		n := g.TotalNodes()
-		for _, m := range []int{4 << 10, 64 << 10, 512 << 10} {
-			sz := coll.UniformSizeMatrix(n, m)
-			if got, want := g.PredictFlatV(sz), g.PredictFlat(m); got != want {
-				t.Fatalf("%s m=%d: PredictFlatV = %v, want bit-equal %v", name, m, got, want)
-			}
-			if got, want := g.PredictHierGatherV(sz), g.PredictHierGather(m); got != want {
-				t.Fatalf("%s m=%d: PredictHierGatherV = %v, want bit-equal %v", name, m, got, want)
-			}
-			if got, want := g.PredictHierDirectV(sz), g.PredictHierDirect(m); got != want {
-				t.Fatalf("%s m=%d: PredictHierDirectV = %v, want bit-equal %v", name, m, got, want)
+		for _, m := range []int{0, 4 << 10, 64 << 10, 512 << 10} {
+			w := coll.Irregular(coll.UniformSizeMatrix(n, m))
+			for _, s := range []Strategy{FlatDirect, HierGather, HierDirect} {
+				got, want := g.Predict(w, s, nil), g.Predict(ata(m), s, nil)
+				if got != want || (m == 0) != (want == 0) {
+					t.Fatalf("%s m=%d %v: irregular = %v, regular = %v, want bit-equal and zero only at m=0",
+						name, m, s, got, want)
+				}
+				if m == 0 && g.Parts(ata(m), s) != (Parts{}) {
+					t.Fatalf("%s %v: decomposition at m=0 = %+v, want zeros", name, s, g.Parts(ata(m), s))
+				}
 			}
 		}
 	}
 }
 
-// TestGridVPartsUniformReduction checks the general v-legs (not the
-// fast path): fed a uniform matrix, each decomposition must reproduce
-// the uniform decomposition — the cut sums collapse to the n·m count
-// terms — to floating-point re-association tolerance.
+// TestGridVPartsUniformReduction checks the matrix volume source itself
+// (Predict would route a uniform matrix to the counts source): forced
+// onto a uniform matrix, it must reproduce the counts source bit for bit
+// on every tier leg, every flat term, the hier-direct opening phase and
+// exchange, the intra leg and every factor lookup size. Only the
+// leaf-local relay leg is held to 1e-12 instead: counts prices it as
+// (s−1)·(α + V·β/C) per member, the matrix as (s−1)·α + ΣV·β/C over the
+// summed bytes, and the two associations round differently.
 func TestGridVPartsUniformReduction(t *testing.T) {
 	const tol = 1e-12
 	for name, g := range map[string]GridModel{"2lvl": gridModelFixture(), "3lvl": threeLevelFixture()} {
 		n := g.TotalNodes()
 		for _, m := range []int{8 << 10, 64 << 10, 512 << 10} {
-			sz := coll.UniformSizeMatrix(n, m)
+			byCount := counts{kind: coll.KindAlltoall, m: m, n: n}
+			byMatrix := matrix{sz: coll.UniformSizeMatrix(n, m), span: g.rankRanges()}
 
-			f1, s1, r1 := g.FlatParts(m)
-			f2, s2, r2 := g.FlatPartsV(sz)
-			if !relClose(f1, f2, tol) || !relClose(s1, s2, tol) || !relClose(r1, r2, tol) {
-				t.Fatalf("%s m=%d: FlatPartsV = (%v,%v,%v), want uniform (%v,%v,%v)",
-					name, m, f2, s2, r2, f1, s1, r1)
+			x1, s1 := g.tierLegs(byCount)
+			x2, s2 := g.tierLegs(byMatrix)
+			if x1 != x2 || s1 != s2 {
+				t.Fatalf("%s m=%d: matrix tier legs (%v,%v), want bit-equal (%v,%v)", name, m, x2, s2, x1, s1)
 			}
-
-			i1, x1, l1 := g.HierGatherParts(m)
-			i2, x2, l2 := g.HierGatherPartsV(sz)
-			if !relClose(i1, i2, tol) || !relClose(x1, x2, tol) || !relClose(l1, l2, tol) {
-				t.Fatalf("%s m=%d: HierGatherPartsV = (%v,%v,%v), want uniform (%v,%v,%v)",
-					name, m, i2, x2, l2, i1, x1, l1)
-			}
-
-			p1, hx1, sc1 := g.HierDirectParts(m)
-			p2, hx2, sc2 := g.HierDirectPartsV(sz)
-			if !relClose(p1, p2, tol) || !relClose(hx1, hx2, tol) || !relClose(sc1, sc2, tol) {
-				t.Fatalf("%s m=%d: HierDirectPartsV = (%v,%v,%v), want uniform (%v,%v,%v)",
-					name, m, p2, hx2, sc2, p1, hx1, sc1)
+			for _, s := range []Strategy{FlatDirect, HierGather, HierDirect} {
+				p1, e1 := g.parts(byCount, s)
+				p2, e2 := g.parts(byMatrix, s)
+				if e1 != m || e2 != m {
+					t.Fatalf("%s m=%d %v: lookup sizes %d/%d, want m", name, m, s, e1, e2)
+				}
+				// The leaf-local leg is HierGather's Scaled term and part
+				// of HierDirect's closing B term.
+				exactB, exactScaled := s != HierDirect, s != HierGather
+				if p1.A != p2.A ||
+					(exactB && p1.B != p2.B) || !relClose(p1.B, p2.B, tol) ||
+					(exactScaled && p1.Scaled != p2.Scaled) || !relClose(p1.Scaled, p2.Scaled, tol) {
+					t.Fatalf("%s m=%d %v: matrix parts %+v, want counts parts %+v", name, m, s, p2, p1)
+				}
 			}
 		}
 	}
@@ -106,20 +105,20 @@ func TestGridVSkewShiftsLegs(t *testing.T) {
 	for j := 1; j < n; j++ {
 		hot.Set(0, j, 8*m)
 	}
-	if g.PredictFlatV(hot) <= g.PredictFlatV(base) {
+	if g.Predict(coll.Irregular(hot), FlatDirect, nil) <= g.Predict(coll.Irregular(base), FlatDirect, nil) {
 		t.Fatal("hotspot row must raise the flat prediction")
 	}
-	if g.PredictHierGatherV(hot) <= g.PredictHierGatherV(base) {
+	if g.Predict(coll.Irregular(hot), HierGather, nil) <= g.Predict(coll.Irregular(base), HierGather, nil) {
 		t.Fatal("hotspot row must raise the hier-gather prediction")
 	}
-	if g.PredictHierDirectV(hot) <= g.PredictHierDirectV(base) {
+	if g.Predict(coll.Irregular(hot), HierDirect, nil) <= g.Predict(coll.Irregular(base), HierDirect, nil) {
 		t.Fatal("hotspot row must raise the hier-direct prediction")
 	}
 
 	// The hotspot sits in cluster 0: its outbound cut grows 8-fold, the
 	// reverse direction keeps the uniform cut. The worst-child exchange
 	// leg must price the grown cut exactly.
-	_, xchg, _ := g.HierGatherPartsV(hot)
+	xchg := g.Parts(coll.Irregular(hot), HierGather).B
 	wantCut := 8*m*4 + 3*4*m // rank 0's 4 remote pairs at 8m, ranks 1–3 at m each
 	perFlow := g.Root.Wan.Transfer(wantCut)
 	wire := g.Root.Wan.Alpha() + float64(wantCut)*g.Root.Wan.BetaWire
@@ -141,14 +140,15 @@ func TestGridVSkewShiftsLegs(t *testing.T) {
 			}
 		}
 	}
-	intra, xchg0, legs := g.HierGatherPartsV(local)
-	if xchg0 != 0 || legs != 0 {
-		t.Fatalf("zero cross-traffic: WAN and leaf relay legs = %v/%v, want 0/0", xchg0, legs)
+	p := g.Parts(coll.Irregular(local), HierGather)
+	intra := p.A
+	if p.B != 0 || p.Scaled != 0 {
+		t.Fatalf("zero cross-traffic: WAN and leaf relay legs = %v/%v, want 0/0", p.B, p.Scaled)
 	}
 	if intra <= 0 {
 		t.Fatal("zero cross-traffic: intra leg must still price the local exchange")
 	}
-	if f := g.PredictFlatV(local); math.Abs(f-intra) > 1e-12*intra {
+	if f := g.Predict(coll.Irregular(local), FlatDirect, nil); math.Abs(f-intra) > 1e-12*intra {
 		t.Fatalf("zero cross-traffic flat = %v, want pure local term %v", f, intra)
 	}
 }
@@ -162,5 +162,5 @@ func TestGridVMatrixValidation(t *testing.T) {
 			t.Fatal("expected panic on rank-count mismatch")
 		}
 	}()
-	g.PredictFlatV(coll.UniformSizeMatrix(3, 1024))
+	g.Predict(coll.Irregular(coll.UniformSizeMatrix(3, 1024)), FlatDirect, nil)
 }

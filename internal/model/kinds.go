@@ -4,47 +4,37 @@ import (
 	"fmt"
 
 	"repro/internal/coll"
+	"repro/internal/obs"
 )
 
-// Per-kind grid predictions. The collective suite (internal/coll,
-// PlanKindTree) reuses the hierarchical plan machinery across
-// Allgather, Broadcast, Reduce, Reduce-scatter, and Allreduce; this
-// file prices each kind's per-tier WAN legs with the same fitted
-// ingredients the All-to-All model uses — the per-tier transfer curves,
-// the κ incast factor (GatherGamma), the coordinator-port headroom
-// floors — changing only the per-leg byte weights to match what the
-// compiled plans actually move:
+// Per-kind pieces of GridModel.Predict. The collective suite
+// (internal/coll, PlanKindTree) reuses the hierarchical plan machinery
+// across Allgather, Broadcast, Reduce, Reduce-scatter, and Allreduce,
+// and the model prices each kind with the same fitted ingredients the
+// All-to-All model uses — the per-tier transfer curves, the κ incast
+// factor (GatherGamma), the coordinator-port headroom floors:
 //
-//   - Allgather rides the All-to-All plan structure with per-source
-//     deduplication: a gather leg forwards m per member, a tier
-//     exchange A→B moves |A|·m, a scatter leg fans (n−s)·m back out.
-//   - Reduce-scatter is the mirror image (per-destination partials):
-//     gather (n−s)·m, exchange A→B moves |B|·m, scatter m.
+//   - Allgather and Reduce-scatter ride the All-to-All relay sweep
+//     (grid.go) with only the per-leg byte weights changed to what the
+//     compiled plans actually move (the counts source, volumes.go);
 //   - Broadcast and Reduce relay one m-byte payload per hop of the
-//     delegate tree (fan-out down, incast up); Reduce additionally
-//     prices the combining arithmetic via CombineBeta, and its leaf
-//     incast is κ-charged like the All-to-All gather incast.
-//   - Allreduce is Reduce∘Broadcast over the same relay.
-//
-// All-to-All itself delegates to the original PredictFlat /
-// PredictHierGather / PredictHierDirect methods, keeping that path
-// bit-identical to the pre-suite model.
+//     delegate tree (fan-out down, incast up) — structurally different,
+//     priced by relayLegs below; Reduce additionally prices the
+//     combining arithmetic via CombineBeta, and its leaf incast is
+//     κ-charged like the All-to-All gather incast;
+//   - Allreduce is Reduce∘Broadcast over the same relay;
+//   - every kind's flat (topology-oblivious) kernel is priced by
+//     flatKernel.
 
-// PredictKindFlat prices the flat (topology-oblivious) kernel of a
-// kind, as RunKindFlat executes it: ring allgather, binomial broadcast
-// and reverse-binomial reduce, recursive doubling or reduce+broadcast
+// flatKernel prices the flat kernel of a kind other than All-to-All(v),
+// as RunKindFlat executes it: ring allgather, binomial broadcast and
+// reverse-binomial reduce, recursive doubling or reduce+broadcast
 // allreduce, halving or ring reduce-scatter. Every flat round is gated
 // by the grid's top tier in the worst case, which is what makes flat
-// kernels lose to the hierarchy on deep grids. Alltoallv is size-bound
-// and has no uniform-m prediction (use PredictV).
-func (g GridModel) PredictKindFlat(kind coll.Kind, m int) float64 {
+// kernels lose to the hierarchy on deep grids.
+func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 	n := g.TotalNodes()
-	if n <= 1 {
-		return 0
-	}
 	switch kind {
-	case coll.KindAlltoall:
-		return g.PredictFlat(m)
 	case coll.KindAllgather:
 		return float64(n-1) * g.hopTransfer(m)
 	case coll.KindBroadcast:
@@ -72,7 +62,7 @@ func (g GridModel) PredictKindFlat(kind coll.Kind, m int) float64 {
 			}
 			return t + float64(rounds)*g.hopTransfer(m)
 		}
-		return g.PredictKindFlat(coll.KindReduce, m) + g.PredictKindFlat(coll.KindBroadcast, m)
+		return g.flatKernel(coll.KindReduce, m) + g.flatKernel(coll.KindBroadcast, m)
 	case coll.KindReduceScatter:
 		if n&(n-1) == 0 {
 			// Pairwise halving: the exchanged volume halves each step.
@@ -91,33 +81,21 @@ func (g GridModel) PredictKindFlat(kind coll.Kind, m int) float64 {
 	panic(fmt.Sprintf("model: no flat prediction for %v", kind))
 }
 
-// PredictKindHier prices the hierarchical plan PlanKindTree compiles
-// for a kind: the weighted All-to-All structure for Allgather and
-// Reduce-scatter, the delegate relay for the rooted kinds, and the
-// original sequential hierarchical prediction for All-to-All itself.
-// The rooted kinds' plans are structurally identical under both
-// hierarchical algorithm variants, so one hierarchical prediction
-// covers them.
-func (g GridModel) PredictKindHier(kind coll.Kind, m int) float64 {
-	if g.TotalNodes() <= 1 {
-		return 0
-	}
+// rootedHier prices the delegate relay PlanKindTree compiles for the
+// rooted kinds.
+func (g GridModel) rootedHier(kind coll.Kind, m int, tr *obs.Collector) float64 {
 	switch kind {
-	case coll.KindAlltoall:
-		return g.PredictHierGather(m)
-	case coll.KindAllgather, coll.KindReduceScatter:
-		return g.predictWeightedHier(kind, m)
 	case coll.KindBroadcast:
 		wan, local, _ := g.relayLegs(m)
 		return wan + local
 	case coll.KindReduce:
 		wan, local, compute := g.relayLegs(m)
-		if g.Obs != nil {
-			g.emitLookup("kappa", -1, g.GatherGamma, m)
+		if tr != nil {
+			emitLookup(tr, "kappa", -1, g.GatherGamma, m)
 		}
 		return wan + local*gammaAt(g.GatherGamma, m) + compute
 	case coll.KindAllreduce:
-		return g.PredictKindHier(coll.KindReduce, m) + g.PredictKindHier(coll.KindBroadcast, m)
+		return g.rootedHier(coll.KindReduce, m, tr) + g.rootedHier(coll.KindBroadcast, m, tr)
 	}
 	panic(fmt.Sprintf("model: no hierarchical prediction for %v", kind))
 }
@@ -141,178 +119,6 @@ func ceilLog2(n int) int {
 		r++
 	}
 	return r
-}
-
-// predictWeightedHier prices the weighted All-to-All plan structure the
-// deduplicating kinds compile: intra-leaf exchange, per-tier exchange
-// and incast legs with kind-specific byte weights, and κ-charged local
-// gather/scatter legs at the leaf coordinators.
-func (g GridModel) predictWeightedHier(kind coll.Kind, m int) float64 {
-	xchg, scatter := g.kindTierLegs(kind, m)
-	up, down := g.kindLeafLocal(kind, m)
-	if g.Obs != nil {
-		g.emitLookup("kappa", -1, g.GatherGamma, m)
-	}
-	return g.intra(m) + xchg + scatter + (up+down)*gammaAt(g.GatherGamma, m)
-}
-
-// kindExchangeAt is exchangeAt with kind-weighted sibling-pair volumes:
-// an Allgather message A→B deduplicates to one copy per source (|A|·m),
-// a Reduce-scatter message to one partial per destination (|B|·m). The
-// per-flow curve limit, aggregate wire floor, and coordinator-port
-// headroom floor mirror the All-to-All leg.
-func (g GridModel) kindExchangeAt(v *ModelNode, kind coll.Kind, m int) float64 {
-	worst := 0.0
-	for _, c := range v.Children {
-		maxPer, total := 0, 0
-		for _, d := range v.Children {
-			if d == c {
-				continue
-			}
-			var b int
-			switch kind {
-			case coll.KindAllgather:
-				b = c.TotalNodes() * m
-			case coll.KindReduceScatter:
-				b = d.TotalNodes() * m
-			}
-			total += b
-			if b > maxPer {
-				maxPer = b
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		t := v.Wan.Transfer(maxPer)
-		if wire := v.Wan.Alpha() + float64(total)*v.Wan.BetaWire; wire > t {
-			t = wire
-		}
-		if c.IsLeaf() && c.CoordBeta > 0 {
-			if port := v.Wan.Alpha() + float64(total)/float64(c.coordSplit())*c.CoordBeta; port > t {
-				t = port
-			}
-		}
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// kindCollectAt prices one tier's incast (or symmetric fan-out) with a
-// caller-supplied per-child volume: every child except the
-// coordinator's own moves bytesOf(child) across tier v's links.
-func (g GridModel) kindCollectAt(v *ModelNode, bytesOf func(c *ModelNode) int) float64 {
-	if len(v.Children) < 2 {
-		return 0
-	}
-	maxPer, total := 0, 0
-	for i, c := range v.Children {
-		if i == 0 {
-			continue // the first child hosts the tier coordinator
-		}
-		b := bytesOf(c)
-		total += b
-		if b > maxPer {
-			maxPer = b
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	perFlow := v.Wan.Transfer(maxPer)
-	wire := v.Wan.Alpha() + float64(total)*v.Wan.BetaWire
-	if wire > perFlow {
-		return wire
-	}
-	return perFlow
-}
-
-// kindTierLegs sums the weighted relay's WAN legs like tierLegs does
-// for All-to-All: per height the worst group's exchange plus upward
-// incast, per depth the worst group's downward leg. Upward an Allgather
-// subtree forwards its own blocks once (|subtree|·m) while a
-// Reduce-scatter subtree forwards one partial per outside destination;
-// downward the weights swap. Explicitly-chosen inner-tier coordinators
-// (InnerCoordSet) κ-charge the incast legs they terminate.
-func (g GridModel) kindTierLegs(kind coll.Kind, m int) (xchg, scatter float64) {
-	n := g.TotalNodes()
-	byHeight := map[int]float64{}
-	byDepth := map[int]float64{}
-	var walk func(v *ModelNode, depth int)
-	walk = func(v *ModelNode, depth int) {
-		if v.IsLeaf() {
-			return
-		}
-		for _, c := range v.Children {
-			walk(c, depth+1)
-		}
-		out := n - v.TotalNodes()
-		up, down := 0.0, 0.0
-		if out > 0 {
-			switch kind {
-			case coll.KindAllgather:
-				up = g.kindCollectAt(v, func(c *ModelNode) int { return c.TotalNodes() * m })
-				down = g.kindCollectAt(v, func(c *ModelNode) int { return (n - c.TotalNodes()) * m })
-			case coll.KindReduceScatter:
-				up = g.kindCollectAt(v, func(c *ModelNode) int { return out * m })
-				down = g.kindCollectAt(v, func(c *ModelNode) int { return c.TotalNodes() * m })
-			}
-		}
-		kfac := 1.0
-		if v.InnerCoordSet {
-			kfac = gammaAt(g.GatherGamma, m)
-		}
-		if t := g.kindExchangeAt(v, kind, m) + up*kfac; t > byHeight[v.Height()] {
-			byHeight[v.Height()] = t
-		}
-		if depth > 0 && down*kfac > byDepth[depth] {
-			byDepth[depth] = down * kfac
-		}
-	}
-	walk(g.Root, 0)
-	for _, t := range byHeight {
-		xchg += t
-	}
-	for _, t := range byDepth {
-		scatter += t
-	}
-	return xchg, scatter
-}
-
-// kindLeafLocal returns the worst leaf's local gather and scatter legs
-// under kind weighting: Allgather members forward m each and receive
-// (n−s)·m back; Reduce-scatter mirrors. Measured coordinator headroom
-// and the C-way coordinator split apply as in leafLocal.
-func (g GridModel) kindLeafLocal(kind coll.Kind, m int) (gather, scatter float64) {
-	n := g.TotalNodes()
-	for _, lf := range g.Leaves() {
-		s := lf.Size
-		if s <= 1 || n == s {
-			continue
-		}
-		h := lf.LAN.H
-		beta := h.Beta
-		if lf.CoordBeta > 0 {
-			beta = lf.CoordBeta
-		}
-		c := float64(lf.coordSplit())
-		var up, down int
-		switch kind {
-		case coll.KindAllgather:
-			up, down = m, (n-s)*m
-		case coll.KindReduceScatter:
-			up, down = (n-s)*m, m
-		}
-		if t := float64(s-1) * (h.Alpha + float64(up)*beta/c); t > gather {
-			gather = t
-		}
-		if t := float64(s-1) * (h.Alpha + float64(down)*beta/c); t > scatter {
-			scatter = t
-		}
-	}
-	return gather, scatter
 }
 
 // relayLegs prices the rooted delegate relay (planRooted): per group

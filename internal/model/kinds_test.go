@@ -6,14 +6,24 @@ import (
 	"repro/internal/coll"
 )
 
+// TestKindPredictionsAlltoallDelegates: the suite's entry prices an
+// All-to-All as exactly its decomposition summed in the strategy's
+// pinned order with the strategy's own factor — no per-kind weight or
+// reordering leaks into the original model.
 func TestKindPredictionsAlltoallDelegates(t *testing.T) {
 	for name, g := range map[string]GridModel{"2lvl": gridModelFixture(), "3lvl": threeLevelFixture()} {
+		g.OverlapGamma, g.GatherGamma = ScalarFactor(2.5), ScalarFactor(1.5)
 		for _, m := range []int{4 << 10, 64 << 10, 512 << 10} {
-			if got, want := g.PredictKindFlat(coll.KindAlltoall, m), g.PredictFlat(m); got != want {
-				t.Fatalf("%s m=%d: flat alltoall kind %v != %v", name, m, got, want)
-			}
-			if got, want := g.PredictKindHier(coll.KindAlltoall, m), g.PredictHierGather(m); got != want {
-				t.Fatalf("%s m=%d: hier alltoall kind %v != %v", name, m, got, want)
+			w := coll.Uniform(coll.KindAlltoall, m)
+			flat, hg, hd := g.Parts(w, FlatDirect), g.Parts(w, HierGather), g.Parts(w, HierDirect)
+			for s, want := range map[Strategy]float64{
+				FlatDirect: flat.A + flat.B + flat.Scaled*3, // testWan's root γ_wan
+				HierGather: hg.A + hg.B + hg.Scaled*1.5,
+				HierDirect: hd.A + hd.Scaled*2.5 + hd.B,
+			} {
+				if got := g.Predict(w, s, nil); got != want {
+					t.Fatalf("%s m=%d %v: prediction %v != summed decomposition %v", name, m, s, got, want)
+				}
 			}
 		}
 	}
@@ -26,9 +36,9 @@ func TestKindPredictionsPositiveAndOrdered(t *testing.T) {
 	}
 	for name, g := range map[string]GridModel{"2lvl": gridModelFixture(), "3lvl": threeLevelFixture()} {
 		for _, m := range []int{4 << 10, 64 << 10} {
-			ata := g.PredictKindHier(coll.KindAlltoall, m)
+			ata := g.Predict(coll.Uniform(coll.KindAlltoall, m), HierGather, nil)
 			for _, k := range kinds {
-				flat, hier := g.PredictKindFlat(k, m), g.PredictKindHier(k, m)
+				flat, hier := g.Predict(coll.Uniform(k, m), FlatDirect, nil), g.Predict(coll.Uniform(k, m), HierGather, nil)
 				if flat <= 0 || hier <= 0 {
 					t.Fatalf("%s %v m=%d: nonpositive flat=%v hier=%v", name, k, m, flat, hier)
 				}
@@ -43,12 +53,12 @@ func TestKindPredictionsPositiveAndOrdered(t *testing.T) {
 				}
 			}
 			// Broadcast relays one payload per hop — the cheapest kind.
-			if b, ag := g.PredictKindHier(coll.KindBroadcast, m), g.PredictKindHier(coll.KindAllgather, m); b >= ag {
+			if b, ag := g.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil), g.Predict(coll.Uniform(coll.KindAllgather, m), HierGather, nil); b >= ag {
 				t.Fatalf("%s m=%d: broadcast hier %v not below allgather hier %v", name, m, b, ag)
 			}
 			// Allreduce composes reduce and broadcast over the same tree.
-			sum := g.PredictKindHier(coll.KindReduce, m) + g.PredictKindHier(coll.KindBroadcast, m)
-			if ar := g.PredictKindHier(coll.KindAllreduce, m); ar != sum {
+			sum := g.Predict(coll.Uniform(coll.KindReduce, m), HierGather, nil) + g.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil)
+			if ar := g.Predict(coll.Uniform(coll.KindAllreduce, m), HierGather, nil); ar != sum {
 				t.Fatalf("%s m=%d: allreduce %v != reduce+broadcast %v", name, m, ar, sum)
 			}
 		}
@@ -65,31 +75,8 @@ func TestKindHierBeatsFlatOnDeepGrid(t *testing.T) {
 		coll.KindAllgather, coll.KindBroadcast, coll.KindReduce,
 		coll.KindReduceScatter, coll.KindAllreduce,
 	} {
-		if flat, hier := g.PredictKindFlat(k, m), g.PredictKindHier(k, m); hier >= flat {
+		if flat, hier := g.Predict(coll.Uniform(k, m), FlatDirect, nil), g.Predict(coll.Uniform(k, m), HierGather, nil); hier >= flat {
 			t.Fatalf("%v: hier %v not below flat %v", k, hier, flat)
-		}
-	}
-}
-
-func TestInnerCoordSetKappaChargesIncast(t *testing.T) {
-	// Marking an inner tier's coordinator as explicitly chosen κ-charges
-	// its incast legs; with κ > 1 the three-level alltoall and weighted
-	// kind predictions rise, and with the mark absent they are the
-	// pre-refactor values bit for bit.
-	base := threeLevelFixture()
-	base.GatherGamma = ScalarFactor(4)
-	marked := threeLevelFixture()
-	marked.GatherGamma = ScalarFactor(4)
-	for _, c := range marked.Root.Children {
-		c.InnerCoordSet = true
-	}
-	const m = 64 << 10
-	if b, mk := base.PredictHierGather(m), marked.PredictHierGather(m); mk <= b {
-		t.Fatalf("alltoall: κ-charged inner incast %v not above default %v", mk, b)
-	}
-	for _, k := range []coll.Kind{coll.KindAllgather, coll.KindReduceScatter} {
-		if b, mk := base.PredictKindHier(k, m), marked.PredictKindHier(k, m); mk <= b {
-			t.Fatalf("%v: κ-charged inner incast %v not above default %v", k, mk, b)
 		}
 	}
 }
@@ -100,17 +87,17 @@ func TestCombineBetaPricesReduction(t *testing.T) {
 	paid.CombineBeta = 1e-6
 	const m = 64 << 10
 	for _, k := range []coll.Kind{coll.KindReduce, coll.KindAllreduce, coll.KindReduceScatter} {
-		if f, p := free.PredictKindFlat(k, m), paid.PredictKindFlat(k, m); p <= f {
+		if f, p := free.Predict(coll.Uniform(k, m), FlatDirect, nil), paid.Predict(coll.Uniform(k, m), FlatDirect, nil); p <= f {
 			t.Fatalf("%v flat: priced combining %v not above free %v", k, p, f)
 		}
 	}
 	for _, k := range []coll.Kind{coll.KindReduce, coll.KindAllreduce} {
-		if f, p := free.PredictKindHier(k, m), paid.PredictKindHier(k, m); p <= f {
+		if f, p := free.Predict(coll.Uniform(k, m), HierGather, nil), paid.Predict(coll.Uniform(k, m), HierGather, nil); p <= f {
 			t.Fatalf("%v hier: priced combining %v not above free %v", k, p, f)
 		}
 	}
 	// Broadcast never combines: pricing must not move it.
-	if f, p := free.PredictKindHier(coll.KindBroadcast, m), paid.PredictKindHier(coll.KindBroadcast, m); f != p {
+	if f, p := free.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil), paid.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil); f != p {
 		t.Fatalf("broadcast hier moved with CombineBeta: %v != %v", f, p)
 	}
 }
