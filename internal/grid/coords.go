@@ -77,7 +77,7 @@ func probeHeadroom(p cluster.Profile, nodes int, opt Options) []float64 {
 			}
 		}
 	}
-	m := 4 * opt.ProbeSize // bandwidth-dominated transfer
+	m := 4 * headroomProbeSize // bandwidth-dominated transfer
 	times := make([]float64, len(pairs))
 	cl := cluster.Build(p, nodes, opt.Seed+113)
 	cl.Net.AttachCollector(opt.Trace)
@@ -214,7 +214,7 @@ func leafTargetCounts(t cluster.TopoNode) []int {
 
 // SelectCoordinators picks each leaf's coordinator set by predicted
 // cost at per-pair message size m: candidates are the headroom-ranked
-// top-C nodes for C = 1..MaxCoords (capped by the leaf's width and its
+// top-C nodes for C = 1..maxCoords (capped by the leaf's width and its
 // divergence target count), evaluated through the grid model with the
 // candidate's measured NIC gap and split applied. A non-default choice
 // must beat the lowest-rank default by selectMargin; otherwise the
@@ -328,7 +328,7 @@ func (pl *Planner) selectCoordinators(w coll.Workload) ([]CoordChoice, error) {
 		// with its measured headroom so candidates compare fairly.
 		defCost := evaluate([]int{0})
 		bestNodes, bestCost := []int{0}, defCost
-		maxC := pl.opt.MaxCoords
+		maxC := maxCoords
 		if maxC > s {
 			maxC = s
 		}
@@ -508,9 +508,8 @@ func (pl *Planner) PlanSpec() coll.TreeSpec {
 // misprice it. Probe dispersion and instability land in pl.ProbeStats
 // and pl.Warnings with Stage "refit", alongside the initial fit's.
 func (pl *Planner) refitStrategyFactors(choices []CoordChoice) error {
-	capN := pl.opt.ProbeCap
-	probeTopo := cappedTree(pl.Topo, capN)
-	sp := pl.opt.Trace.Span("planner.refit_strategy", obs.Int("probe_cap", capN))
+	probeTopo := cappedTree(pl.Topo, probeCap)
+	sp := pl.opt.Trace.Span("planner.refit_strategy", obs.Int("probe_cap", probeCap))
 	defer sp.End()
 
 	// Capped view of the selection: chosen node indices beyond the
@@ -531,42 +530,34 @@ func (pl *Planner) refitStrategyFactors(choices []CoordChoice) error {
 		capped[l] = cc
 	}
 
-	// Refits cache under the topology plus the capped selection: the
+	// Refits are keyed by the topology plus the capped selection: the
 	// probe spec and the inverted probe model depend on nothing else
 	// (headroom rates are themselves store-cached and deterministic
 	// under the bound options), so a second process planning the same
 	// selection restores the refit without a single probe.
-	rkey := "R|" + topoKey(pl.Topo) + "|" + selectionKey(capped)
-	if rec, ok := pl.sv.strategy(sp, rkey); ok {
-		pl.Model.OverlapGamma = rec.Omega
-		pl.Model.GatherGamma = rec.Kappa
-		return nil
-	}
-
-	probeRoot := cappedModel(pl.Model.Root, capN)
-	for l, lf := range probeRoot.Leaves() {
-		if capped[l].Default {
-			continue
-		}
-		rates := pl.safeHeadroom(l)
-		mr := rates[capped[l].Local[0]]
-		for _, i := range capped[l].Local[1:] {
-			if rates[i] < mr {
-				mr = rates[i]
+	rec, err := fetch(pl.sv, sp, recRefit, "R|"+pl.key+"|"+selectionKey(capped), func() (storedStrategy, error) {
+		probeRoot := cappedModel(pl.Model.Root, probeCap)
+		for l, lf := range probeRoot.Leaves() {
+			if capped[l].Default {
+				continue
 			}
+			rates := pl.safeHeadroom(l)
+			mr := rates[capped[l].Local[0]]
+			for _, i := range capped[l].Local[1:] {
+				if rates[i] < mr {
+					mr = rates[i]
+				}
+			}
+			lf.NumCoords = len(capped[l].Local)
+			lf.CoordBeta = betaOf(mr)
 		}
-		lf.NumCoords = len(capped[l].Local)
-		lf.CoordBeta = betaOf(mr)
-	}
-	probeModel := model.GridModel{Root: probeRoot}
-	spec := specFor(probeTopo, capped)
-
-	omega, kappa, err := pl.probeStrategyFactors(sp, "refit", probeTopo, probeModel, &spec)
+		spec := specFor(probeTopo, capped)
+		return pl.probeStrategyFactors(sp, "refit", probeTopo, model.GridModel{Root: probeRoot}, &spec)
+	})
 	if err != nil {
 		return err
 	}
-	pl.Model.OverlapGamma, pl.Model.GatherGamma = omega, kappa
-	pl.sv.putStrategy(rkey, storedStrategy{Omega: omega, Kappa: kappa})
+	pl.Model.OverlapGamma, pl.Model.GatherGamma = rec.Omega, rec.Kappa
 	return nil
 }
 

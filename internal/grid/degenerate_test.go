@@ -30,7 +30,6 @@ func TestOptionsValidation(t *testing.T) {
 			o.FitSizes = []int{16 << 10, 16 << 10, 64 << 10, 128 << 10}
 		}, "FitSizes"},
 		{"probe-nonpositive", func(o *Options) { o.ProbeSizes = []int{0} }, "ProbeSizes"},
-		{"probesize-negative", func(o *Options) { o.ProbeSize = -1 }, "ProbeSize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

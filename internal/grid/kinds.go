@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -38,74 +37,50 @@ func StrategiesFor(kind coll.Kind) []Strategy {
 	}
 }
 
-// kindKey is the store key of one kind's fitted correction curve. The
-// key embeds the full topology key, so CurveStore.Invalidate's
-// substring rule drops kind fits along with the tier fits they were
-// inverted against; the "K|" prefix keeps them apart from the raw
-// per-tier γ records and the legacy "S|" strategy records (which are
-// and remain the All-to-All fits).
-func kindKey(kind coll.Kind, topo cluster.TopoNode) string {
-	return "K|" + kind.String() + "|" + topoKey(topo)
-}
-
 // kindFactor returns the kind's fitted hierarchical correction curve,
 // calibrating it on first use: the capped probe grid runs the kind's
 // compiled plan at every probe size (counted under planner.probes, so a
 // warm store still builds and predicts with zero probe simulations),
 // and the per-kind model decomposition is inverted for the residual
-// inflation per size. Fits land in the curve store under kindKey and
-// restore without probing. Safe for concurrent use on one planner; the
-// calibration must not race SelectCoordinators (the service holds the
-// entry lock around both).
+// inflation per size. Fits land in the curve store and restore without
+// probing. Their key embeds the full topology key, so
+// CurveStore.Invalidate's substring rule drops kind fits along with the
+// tier fits they were inverted against; the "K|" prefix keeps them apart
+// from the raw per-tier γ records and the "S|" strategy records (which
+// are and remain the All-to-All fits). Safe for concurrent use on one
+// planner; the calibration must not race SelectCoordinators (the service
+// holds the entry lock around both).
 func (pl *Planner) kindFactor(kind coll.Kind) (model.FactorCurve, error) {
 	pl.kindMu.Lock()
 	defer pl.kindMu.Unlock()
-	if c, ok := pl.kindGamma[kind]; ok {
-		return c, nil
-	}
-	key := kindKey(kind, pl.Topo)
-	if c, ok := pl.sv.kindCurve(nil, key); ok {
-		pl.kindGamma[kind] = c
-		return c, nil
-	}
-	opt := pl.opt
-	sp := opt.Trace.Span("planner.fit_kind",
-		obs.Str("kind", kind.String()), obs.Int("probe_cap", opt.ProbeCap))
-	defer sp.End()
-	probeTopo := cappedTree(pl.Topo, opt.ProbeCap)
-	probeModel := model.GridModel{
-		Root:         cappedModel(pl.Model.Root, opt.ProbeCap),
-		OverlapGamma: pl.Model.OverlapGamma,
-		GatherGamma:  pl.Model.GatherGamma,
-		CombineBeta:  pl.Model.CombineBeta,
-	}
-	probes := make([]*probeRun, len(opt.ProbeSizes))
-	for i, p := range opt.ProbeSizes {
-		m := p
-		probes[i] = &probeRun{baseSeed: opt.Seed + 131, run: func(sd int64) (float64, error) {
-			return opt.probe(probeTopo, coll.Uniform(kind, m), HierGather, nil, sd)
-		}}
-	}
-	runProbes(opt.Workers, opt.StableSpread, probes)
-	points := make([]model.FactorPoint, 0, len(opt.ProbeSizes))
-	for i, p := range opt.ProbeSizes {
-		pr := probes[i]
-		if pr.err != nil {
-			return model.FactorCurve{}, pr.err
+	// No span: the lookup feeds the store counters but emits no event.
+	return fetch(pl.sv, nil, recKind, "K|"+kind.String()+"|"+pl.key, func() (model.FactorCurve, error) {
+		opt := pl.opt
+		sp := opt.Trace.Span("planner.fit_kind",
+			obs.Str("kind", kind.String()), obs.Int("probe_cap", probeCap))
+		defer sp.End()
+		probeTopo := cappedTree(pl.Topo, probeCap)
+		probeModel := model.GridModel{
+			Root:         cappedModel(pl.Model.Root, probeCap),
+			OverlapGamma: pl.Model.OverlapGamma,
+			GatherGamma:  pl.Model.GatherGamma,
+			CombineBeta:  pl.Model.CombineBeta,
 		}
-		pl.recordProbe(sp, "gamma_"+kind.String(), "", "kind", p, opt.Seed+131, pr.times)
-		g := 1.0
-		if pred := probeModel.Predict(coll.Uniform(kind, p), HierGather, nil); pred > 0 {
-			g = clampGamma(pr.median / pred)
+		sw := &factorSweep{
+			factor: "gamma_" + kind.String(), stage: "kind", seed: opt.Seed + 131,
+			run: func(m int, sd int64) (float64, error) {
+				return opt.probe(probeTopo, coll.Uniform(kind, m), HierGather, nil, sd)
+			},
+			invert: func(m int, median float64) float64 {
+				if pred := probeModel.Predict(coll.Uniform(kind, m), HierGather, nil); pred > 0 {
+					return clampGamma(median / pred)
+				}
+				return 1
+			},
 		}
-		sp.Event("fit.point", obs.Str("factor", "gamma_"+kind.String()),
-			obs.Int("size", p), obs.F64("value", g))
-		points = append(points, model.FactorPoint{Bytes: p, Factor: g})
-	}
-	curve := model.CurveOf(points...)
-	pl.kindGamma[kind] = curve
-	pl.sv.putKindCurve(key, curve)
-	return curve, nil
+		err := pl.sweepFactors(sp, nil, sw)
+		return sw.curve, err
+	})
 }
 
 // PredictKind returns every candidate strategy's predicted completion

@@ -45,8 +45,10 @@ func TestServicePredictKindAlltoallDelegates(t *testing.T) {
 			}
 		}
 	}
-	if len(pl.kindGamma) != 0 {
-		t.Fatalf("alltoall predictions fitted %d per-kind corrections, want 0", len(pl.kindGamma))
+	for _, ps := range pl.ProbeStats {
+		if ps.Stage == "kind" {
+			t.Fatalf("alltoall predictions fitted a per-kind correction: %+v", ps)
+		}
 	}
 	if _, err := pl.PredictKind(coll.KindAlltoallv, 4<<10); err == nil {
 		t.Fatal("PredictKind(KindAlltoallv) did not reject the size-bound kind")
@@ -261,8 +263,8 @@ func TestStoreSaveFileMergeUnions(t *testing.T) {
 	if err := a.bind("opts-x"); err != nil {
 		t.Fatal(err)
 	}
-	a.putGamma(0, "G{tier-a}", model.ScalarFactor(2))
-	a.putGamma(0, "G{shared}", model.ScalarFactor(3))
+	a.gammas.put(0, "G{tier-a}", model.ScalarFactor(2))
+	a.gammas.put(0, "G{shared}", model.ScalarFactor(3))
 	if err := a.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +273,8 @@ func TestStoreSaveFileMergeUnions(t *testing.T) {
 	if err := b.bind("opts-x"); err != nil {
 		t.Fatal(err)
 	}
-	b.putGamma(0, "K|broadcast|G{tier-b}", model.ScalarFactor(5))
-	b.putGamma(0, "G{shared}", model.ScalarFactor(7))
+	b.gammas.put(0, "K|broadcast|G{tier-b}", model.ScalarFactor(5))
+	b.gammas.put(0, "G{shared}", model.ScalarFactor(7))
 	if err := b.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -281,17 +283,17 @@ func TestStoreSaveFileMergeUnions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := got.gamma("G{tier-a}"); !ok || c.At(1) != 2 {
+	if c, ok := got.gammas.get("G{tier-a}"); !ok || c.At(1) != 2 {
 		t.Fatalf("disk-only record lost in merge: ok=%v curve=%+v", ok, c)
 	}
-	if c, ok := got.gamma("K|broadcast|G{tier-b}"); !ok || c.At(1) != 5 {
+	if c, ok := got.gammas.get("K|broadcast|G{tier-b}"); !ok || c.At(1) != 5 {
 		t.Fatalf("in-memory kind record missing after merge: ok=%v curve=%+v", ok, c)
 	}
-	if c, ok := got.gamma("G{shared}"); !ok || c.At(1) != 7 {
+	if c, ok := got.gammas.get("G{shared}"); !ok || c.At(1) != 7 {
 		t.Fatalf("conflicting key did not take the in-memory value: ok=%v curve=%+v", ok, c)
 	}
 	// The in-memory store was not mutated by its own save.
-	if _, ok := b.gamma("G{tier-a}"); ok {
+	if _, ok := b.gammas.get("G{tier-a}"); ok {
 		t.Fatal("SaveFile merged disk records into the in-memory store")
 	}
 
@@ -300,7 +302,7 @@ func TestStoreSaveFileMergeUnions(t *testing.T) {
 	if err := c2.bind("opts-y"); err != nil {
 		t.Fatal(err)
 	}
-	c2.putGamma(0, "G{fresh}", model.ScalarFactor(9))
+	c2.gammas.put(0, "G{fresh}", model.ScalarFactor(9))
 	if err := c2.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +325,9 @@ func TestStoreSaveFileMergeSkipsInvalidated(t *testing.T) {
 	if err := a.bind("opts-x"); err != nil {
 		t.Fatal(err)
 	}
-	a.putGamma(0, "G{stale-tier}", model.ScalarFactor(2))
-	a.putGamma(0, "K|reduce|G{stale-tier}", model.ScalarFactor(4))
-	a.putGamma(0, "G{live-tier}", model.ScalarFactor(3))
+	a.gammas.put(0, "G{stale-tier}", model.ScalarFactor(2))
+	a.gammas.put(0, "K|reduce|G{stale-tier}", model.ScalarFactor(4))
+	a.gammas.put(0, "G{live-tier}", model.ScalarFactor(3))
 	if err := a.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +347,13 @@ func TestStoreSaveFileMergeSkipsInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := got.gamma("G{stale-tier}"); ok {
+	if _, ok := got.gammas.get("G{stale-tier}"); ok {
 		t.Fatal("invalidated γ record resurrected from the on-disk snapshot")
 	}
-	if _, ok := got.gamma("K|reduce|G{stale-tier}"); ok {
+	if _, ok := got.gammas.get("K|reduce|G{stale-tier}"); ok {
 		t.Fatal("invalidated per-kind record resurrected from the on-disk snapshot")
 	}
-	if _, ok := got.gamma("G{live-tier}"); !ok {
+	if _, ok := got.gammas.get("G{live-tier}"); !ok {
 		t.Fatal("unrelated record lost while skipping invalidated ones")
 	}
 

@@ -55,6 +55,22 @@ var Strategies = []Strategy{FlatDirect, HierGather, HierDirect}
 // tagWANProbe is the reserved tag of the WAN ping-pong probe.
 const tagWANProbe int32 = 7100
 
+// Characterization constants. Fitted values depend on them, so
+// Options.fingerprint renders them (psize, pcap, maxc) — in the format
+// stores already on disk were bound under.
+const (
+	// headroomProbeSize is the per-pair message size of the per-node
+	// headroom ping-pongs (the probe transfers 4× this).
+	headroomProbeSize = 64 << 10
+	// probeCap caps per-cluster node counts in probe grids: large enough
+	// that uplink sharing and LAN/WAN overlap interference show up, small
+	// enough to stay affordable.
+	probeCap = 4
+	// maxCoords caps how many coordinators SelectCoordinators may split
+	// one leaf's relay across.
+	maxCoords = 2
+)
+
 // Options tunes planner characterization. Zero values take defaults.
 type Options struct {
 	// FitN is the process count n' at which each member network's
@@ -80,18 +96,8 @@ type Options struct {
 	// fits the median run — extending to five when the first three
 	// disperse past StableSpread — stabilizing the fits, and with them
 	// the flat-vs-hier crossover, against heavy-tailed loss-recovery
-	// draws (see probeTypical).
+	// draws (see runProbes).
 	ProbeSizes []int
-	// ProbeSize is the per-pair message size of the per-node headroom
-	// ping-pongs (default 64 KiB; the probe transfers 4× this).
-	ProbeSize int
-	// ProbeCap caps per-cluster node counts in probe grids (default 4):
-	// large enough that uplink sharing and LAN/WAN overlap interference
-	// show up, small enough to stay affordable.
-	ProbeCap int
-	// MaxCoords caps how many coordinators SelectCoordinators may split
-	// one leaf's relay across (default 2).
-	MaxCoords int
 	// Reps is the repetitions per measured point (default 2).
 	Reps int
 	// Seed drives the characterization simulations.
@@ -153,15 +159,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.ProbeSizes) == 0 {
 		o.ProbeSizes = []int{8 << 10, 64 << 10, 256 << 10}
-	}
-	if o.ProbeSize == 0 {
-		o.ProbeSize = 64 << 10
-	}
-	if o.ProbeCap == 0 {
-		o.ProbeCap = 4
-	}
-	if o.MaxCoords == 0 {
-		o.MaxCoords = 2
 	}
 	if o.Reps == 0 {
 		o.Reps = 2
@@ -226,9 +223,6 @@ func (o Options) validate() error {
 				c.name, len(c.sizes), c.distinct)
 		}
 	}
-	if o.ProbeSize <= 0 {
-		return fmt.Errorf("grid: ProbeSize %d is not positive", o.ProbeSize)
-	}
 	if o.StableSpread <= 0 || math.IsNaN(o.StableSpread) || math.IsInf(o.StableSpread, 0) {
 		return fmt.Errorf("grid: StableSpread %v is not a positive finite threshold", o.StableSpread)
 	}
@@ -257,8 +251,8 @@ func (o Options) validate() error {
 // withDefaults.
 func (o Options) fingerprint() string {
 	fp := fmt.Sprintf("fitn=%d fit=%v wan=%v probes=%v psize=%d pcap=%d maxc=%d reps=%d seed=%d stable=%g",
-		o.FitN, o.FitSizes, o.WANSizes, o.ProbeSizes, o.ProbeSize, o.ProbeCap,
-		o.MaxCoords, o.Reps, o.Seed, o.StableSpread)
+		o.FitN, o.FitSizes, o.WANSizes, o.ProbeSizes, headroomProbeSize, probeCap,
+		maxCoords, o.Reps, o.Seed, o.StableSpread)
 	if o.SimMode == sim.ModeFluid {
 		fp += fmt.Sprintf(" mode=fluid thr=%d", o.FluidThreshold)
 	}
@@ -298,7 +292,7 @@ func applySimConfig(g *cluster.Grid, sc SimConfig) {
 }
 
 // probeSeeds returns the candidate seeds a contention-factor probe may
-// run over, in execution order (probeTypical keeps the median of the
+// run over, in execution order (runProbes keeps the median of the
 // seeds it actually ran): the first three always run — lossy-TCP WAN
 // completion is seed-sensitive everywhere, worst in the RTO-noisy
 // small bracket (≤ 32 KiB, docs/MODEL.md §6), and a median needs an
@@ -339,16 +333,17 @@ type Planner struct {
 	ProbeStats []ProbeStat
 
 	opt Options
-	// sv is the build's window onto the optional CurveStore (always
-	// non-nil; inert without a store). Kept on the planner so the
-	// post-selection refit (coords.go) shares the same cache and
-	// hit/miss accounting as the initial characterization.
+	// key is topoKey(Topo), the stem of every whole-topology record key.
+	key string
+	// sv is the planner's window onto the optional CurveStore (always
+	// non-nil; without a store it only memoizes). Kept on the planner so
+	// the post-selection refit (coords.go) and the lazy per-kind fits
+	// (kinds.go) share the initial characterization's get-or-fit path and
+	// hit/miss accounting.
 	sv *storeView
-	// kindGamma caches the per-kind hierarchical correction curves,
-	// fitted lazily on the first PredictKind of each kind (kinds.go).
-	// kindMu guards it; All-to-All never takes an entry.
-	kindMu    sync.Mutex
-	kindGamma map[coll.Kind]model.FactorCurve
+	// kindMu serializes the lazy per-kind fits: predictions run
+	// concurrently on one planner, and sv is single-goroutine.
+	kindMu sync.Mutex
 }
 
 // NewPlanner characterizes every member network and every WAN tier of
@@ -362,11 +357,11 @@ func NewPlanner(topo cluster.TopoNode, opt Options) (*Planner, error) {
 // newPlannerWithStore is NewPlanner against an optional persistent
 // CurveStore: every characterization artifact — leaf Hockney+signature
 // fits, per-node headroom, per-tier WAN curves, fitted γ_wan and ω/κ
-// curves — is looked up in the store before probing and written back
-// after, with store.hit/store.miss events and counters per record kind
-// (so planner.probes stays the cache-regression signal: a fully warm
-// store builds a planner with zero probe simulations). A nil store
-// degrades to today's NewPlanner exactly. The simulations behind every
+// curves — goes through fetch: looked up in the store before probing and
+// written back after, with store.hit/store.miss events and counters per
+// record kind (so planner.probes stays the cache-regression signal: a
+// fully warm store builds a planner with zero probe simulations). A nil
+// store is the plain NewPlanner: fetch only memoizes. The simulations behind every
 // record are deterministic in (topology, Options), so a warm build's
 // fitted values are bit-identical to a cold build's — the property the
 // service tests pin.
@@ -410,61 +405,25 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 		return nil, err
 	}
 
-	pl := &Planner{Topo: topo, opt: opt, sv: newStoreView(st, opt.Trace),
-		kindGamma: map[coll.Kind]model.FactorCurve{}}
+	pl := &Planner{Topo: topo, opt: opt, key: topoKey(topo), sv: newStoreView(st, opt.Trace)}
 	rootSpan := opt.Trace.Span("planner.characterize",
 		obs.Str("topo", topo.Name), obs.Int("leaves", topo.NumLeaves()),
 		obs.Int("nodes", topo.TotalNodes()))
 	defer rootSpan.End()
 
-	// Leaf characterization: ping-pong Hockney plus the paper's
-	// signature fit, cached on the full profile value (members sharing a
-	// name but not tuning must not share a fit).
-	type charac struct {
-		h   model.Hockney
-		sig model.Signature
-	}
-	cache := map[string]charac{}
+	// Leaf characterization, keyed on the full profile value (members
+	// sharing a name but not tuning must not share a fit).
+	sigs := make([]model.Signature, 0, topo.NumLeaves())
 	for _, lf := range topo.Leaves() {
 		p := lf.Profile
-		if _, ok := cache[profileKey(p)]; ok {
-			continue
-		}
-		if rec, ok := pl.sv.leaf(rootSpan, profileKey(p)); ok {
-			cache[profileKey(p)] = charac{h: rec.Hockney, sig: rec.Signature}
-			continue
-		}
-		sp := rootSpan.Span("planner.leaf_fit", obs.Str("profile", p.Name), obs.Int("fit_n", opt.FitN))
-		h := calib.PingPong(p, mpi.Config{}, opt.Seed, calib.PingPongConfig{Reps: 3})
-		// The per-size sweep simulations are independent (each builds
-		// its own cluster and Simulator from a size-indexed seed), so
-		// they fan out across the worker pool; events are emitted by
-		// this goroutine afterwards, in size order, so traces stay
-		// deterministic.
-		times := make([]float64, len(opt.FitSizes))
-		parallelDo(opt.Workers, len(opt.FitSizes), func(i int) {
-			m := opt.FitSizes[i]
-			cl := cluster.Build(p, opt.FitN, opt.Seed+int64(i)*101)
-			times[i] = measureEnv(opt.Trace, CtrProbes, cl, 1, opt.Reps, func(r *mpi.Rank) {
-				coll.Alltoall(r, m, coll.PostAll)
-			})
+		rec, err := fetch(pl.sv, rootSpan, recLeaf, profileKey(p), func() (storedLeaf, error) {
+			return fitLeaf(p, opt, rootSpan)
 		})
-		samples := make([]signature.Sample, 0, len(opt.FitSizes))
-		for i, m := range opt.FitSizes {
-			sp.Event("fit.sample", obs.Int("size", m), obs.F64("t_s", times[i]))
-			samples = append(samples, signature.Sample{M: m, T: times[i]})
-		}
-		sig, _, err := signature.Fit(h, opt.FitN, samples, signature.Options{})
 		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("grid: fitting %s: %w", p.Name, err)
+			return nil, err
 		}
-		sp.End()
-		cache[profileKey(p)] = charac{h: h, sig: sig}
-		pl.sv.putLeaf(profileKey(p), storedLeaf{Hockney: h, Signature: sig})
-	}
-	for _, lf := range topo.Leaves() {
-		pl.Hockney = append(pl.Hockney, cache[profileKey(lf.Profile)].h)
+		pl.Hockney = append(pl.Hockney, rec.Hockney)
+		sigs = append(sigs, rec.Signature)
 	}
 
 	// Per-node uplink headroom, probed once per distinct (profile, size)
@@ -473,27 +432,15 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 	// characterization: a couple of LAN ping-pongs per node is noise
 	// next to the signature sweeps, and Headroom is part of the
 	// planner's published characterization.
-	hrCache := map[string][]float64{}
 	for _, lf := range topo.Leaves() {
-		key := fmt.Sprintf("%s|%d", profileKey(lf.Profile), lf.Nodes)
-		rates, ok := hrCache[key]
-		if !ok {
-			if stored, hit := pl.sv.headroom(rootSpan, key); hit {
-				rates = stored
-			} else {
-				rates = probeHeadroom(lf.Profile, lf.Nodes, opt)
-				pl.sv.putHeadroom(key, rates)
-			}
-			hrCache[key] = rates
-		}
+		rates, _ := fetch(pl.sv, rootSpan, recHeadroom, fmt.Sprintf("%s|%d", profileKey(lf.Profile), lf.Nodes),
+			func() ([]float64, error) { return probeHeadroom(lf.Profile, lf.Nodes, opt), nil })
 		pl.Headroom = append(pl.Headroom, rates)
 	}
 
 	// Model tree mirroring the topology, with per-tier WAN curves
-	// measured on minimal instances of the grid. Structurally identical
-	// tiers share one measured curve through the cache.
-	curves := map[string]model.WANModel{}
-	root, err := buildModelTree(topo, 0, func(p cluster.Profile) model.Signature { return cache[profileKey(p)].sig }, topo, curves, opt, pl.sv, rootSpan)
+	// measured on minimal instances of the grid.
+	root, err := pl.buildModelTree(topo, 0, sigs, rootSpan)
 	if err != nil {
 		return nil, err
 	}
@@ -504,17 +451,24 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 
 	// Contention-factor curves: per-tier γ_wan from flat probes at every
 	// probe size, innermost tiers first, then the strategy factors ω
-	// and κ on the whole tree.
-	fitted := map[string]model.FactorCurve{}
-	if err := pl.fitTierGammas(topo, root, fitted, rootSpan); err != nil {
+	// and κ on the whole tree, probed under the default (lowest-rank)
+	// plan. Those are whole-topology fits, keyed apart from the per-tier
+	// records ("S|" prefix; the post-selection refit uses "R|"). A reused
+	// fit does not probe, so the build records no omega/kappa ProbeStats
+	// or overlap warnings — the cached analogue of a shared tier fit.
+	if err := pl.fitTierGammas(topo, root, rootSpan); err != nil {
 		return nil, err
 	}
-	omega, kappa, err := pl.fitStrategyFactors(topo, gm, rootSpan)
+	strat, err := fetch(pl.sv, rootSpan, recStrategy, "S|"+pl.key, func() (storedStrategy, error) {
+		sp := rootSpan.Span("planner.fit_strategy", obs.Int("probe_cap", probeCap))
+		defer sp.End()
+		probeModel := model.GridModel{Root: cappedModel(root, probeCap)}
+		return pl.probeStrategyFactors(sp, "characterize", cappedTree(topo, probeCap), probeModel, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	gm.OverlapGamma = omega
-	gm.GatherGamma = kappa
+	gm.OverlapGamma, gm.GatherGamma = strat.Omega, strat.Kappa
 	// A build that mixed hits and misses is an incremental re-fit: it
 	// re-probed only the records the store lacked (e.g. one invalidated
 	// tier) and reused every other cached curve.
@@ -523,48 +477,68 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 	return pl, nil
 }
 
+// fitLeaf characterizes one member network: a ping-pong calibrates the
+// Hockney parameters and the paper's All-to-All sweep at n′ = FitN fits
+// the contention signature.
+func fitLeaf(p cluster.Profile, opt Options, parent *obs.Span) (storedLeaf, error) {
+	sp := parent.Span("planner.leaf_fit", obs.Str("profile", p.Name), obs.Int("fit_n", opt.FitN))
+	defer sp.End()
+	h := calib.PingPong(p, mpi.Config{}, opt.Seed, calib.PingPongConfig{Reps: 3})
+	// The per-size sweep simulations are independent (each builds its
+	// own cluster and Simulator from a size-indexed seed), so they fan
+	// out across the worker pool; events are emitted by this goroutine
+	// afterwards, in size order, so traces stay deterministic.
+	times := make([]float64, len(opt.FitSizes))
+	parallelDo(opt.Workers, len(opt.FitSizes), func(i int) {
+		m := opt.FitSizes[i]
+		cl := cluster.Build(p, opt.FitN, opt.Seed+int64(i)*101)
+		times[i] = measureEnv(opt.Trace, CtrProbes, cl, 1, opt.Reps, func(r *mpi.Rank) {
+			coll.Alltoall(r, m, coll.PostAll)
+		})
+	})
+	samples := make([]signature.Sample, 0, len(opt.FitSizes))
+	for i, m := range opt.FitSizes {
+		sp.Event("fit.sample", obs.Int("size", m), obs.F64("t_s", times[i]))
+		samples = append(samples, signature.Sample{M: m, T: times[i]})
+	}
+	sig, _, err := signature.Fit(h, opt.FitN, samples, signature.Options{})
+	if err != nil {
+		return storedLeaf{}, fmt.Errorf("grid: fitting %s: %w", p.Name, err)
+	}
+	return storedLeaf{Hockney: h, Signature: sig}, nil
+}
+
 // buildModelTree mirrors the topology into model nodes, measuring each
 // tier's WAN transfer curve as it goes. base is the global leaf index
-// of the subtree's first leaf; curves caches measurements across
-// structurally identical tiers (the probe path never leaves the
-// subtree, so isomorphic subtrees measure the same curve).
-func buildModelTree(t cluster.TopoNode, base int, sigOf func(cluster.Profile) model.Signature, full cluster.TopoNode, curves map[string]model.WANModel, opt Options, sv *storeView, tsp *obs.Span) (*model.ModelNode, error) {
+// of the subtree's first leaf and sigs holds every leaf's signature in
+// tree order. Structurally identical tiers share one measurement (the
+// probe path never leaves the subtree, so isomorphic subtrees measure
+// the same curve).
+func (pl *Planner) buildModelTree(t cluster.TopoNode, base int, sigs []model.Signature, tsp *obs.Span) (*model.ModelNode, error) {
 	if t.IsLeaf() {
-		return model.LeafNode(t.Nodes, sigOf(t.Profile)), nil
+		return model.LeafNode(t.Nodes, sigs[base]), nil
 	}
 	v := &model.ModelNode{}
 	off := base
 	for _, c := range t.Children {
-		cm, err := buildModelTree(c, off, sigOf, full, curves, opt, sv, tsp)
+		cm, err := pl.buildModelTree(c, off, sigs, tsp)
 		if err != nil {
 			return nil, err
 		}
 		v.Children = append(v.Children, cm)
 		off += c.NumLeaves()
 	}
-	key := topoKey(t)
-	if wan, ok := curves[key]; ok {
-		v.Wan = wan
-		return v, nil
-	}
-	if rec, ok := sv.tier(tsp, key); ok {
-		// The stored record carries the measured curve only; Gamma stays
-		// the identity curve until fitTierGammas fits (or restores) it,
-		// exactly as after a fresh characterizeTier.
-		wan := model.WANModel{Curve: rec.Curve, BetaWire: rec.BetaWire}
-		curves[key] = wan
-		v.Wan = wan
-		return v, nil
-	}
-	// Probe between the first leaf of the tier's first child and the
-	// first leaf of its second child: their paths diverge at this tier.
-	wan, err := characterizeTier(full, t, base, base+t.Children[0].NumLeaves(), opt, tsp)
+	rec, err := fetch(pl.sv, tsp, recTier, topoKey(t), func() (storedTier, error) {
+		// Probe between the first leaf of the tier's first child and the
+		// first leaf of its second child: their paths diverge at this tier.
+		return characterizeTier(pl.Topo, t, base, base+t.Children[0].NumLeaves(), pl.opt, tsp)
+	})
 	if err != nil {
 		return nil, err
 	}
-	curves[key] = wan
-	sv.putTier(key, storedTier{Curve: wan.Curve, BetaWire: wan.BetaWire})
-	v.Wan = wan
+	// The record carries the measured curve only; Gamma stays the
+	// identity curve until fitTierGammas fits (or restores) it.
+	v.Wan = model.WANModel{Curve: rec.Curve, BetaWire: rec.BetaWire}
 	return v, nil
 }
 
@@ -578,7 +552,7 @@ func buildModelTree(t cluster.TopoNode, base int, sigOf func(cluster.Profile) mo
 // warm world across tiers would let one probe's transport state (warmed
 // congestion windows on shared access links) bleed into the next
 // tier's curve.
-func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, opt Options, parent *obs.Span) (model.WANModel, error) {
+func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, opt Options, parent *obs.Span) (storedTier, error) {
 	sp := parent.Span("tier.characterize",
 		obs.Str("tier", node.Name), obs.Int("height", node.Height()),
 		obs.Int("rank_a", a), obs.Int("rank_b", b))
@@ -586,7 +560,7 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 	mini := cappedTree(full, 1)
 	g, err := cluster.BuildGridTree(mini, opt.Seed+31)
 	if err != nil {
-		return model.WANModel{}, err
+		return storedTier{}, err
 	}
 	g.Env.Net.AttachCollector(opt.Trace)
 	applySimConfig(g, opt.simCfg())
@@ -624,7 +598,7 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 	for _, m := range sizes {
 		ts := times[m]
 		if len(ts) == 0 {
-			return model.WANModel{}, fmt.Errorf("grid: WAN probe produced no samples for %d bytes", m)
+			return storedTier{}, fmt.Errorf("grid: WAN probe produced no samples for %d bytes", m)
 		}
 		mean := 0.0
 		for rep, t := range ts {
@@ -635,12 +609,11 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 		sp.Event("wan.point", obs.Int("size", m), obs.F64("t_s", mean))
 		curve = append(curve, model.WANPoint{Bytes: m, T: mean})
 	}
-	return model.WANModel{
+	return storedTier{
 		Curve: curve,
 		// The serialization floor uses the tier's own subtree profile:
 		// framing overhead may differ between branches of a mixed grid.
 		BetaWire: wireGap(node.Leaves()[0].Profile, node.WAN.Rate),
-		// Gamma stays the identity curve until fitTierGammas fits it.
 	}, nil
 }
 
@@ -770,50 +743,67 @@ func invertFactor(probeModel model.GridModel, m int, s Strategy, measured float6
 	return clampGamma((measured - p.A - p.B) / p.Scaled)
 }
 
-// probeTypical runs one probe simulation (the closure) over a
-// stop-when-stable seed schedule and keeps the median run. Completion
-// times on lossy WANs are heavy-tailed upward — a single
-// retransmission timeout adds whole RTO periods — so a mean bakes one
-// seed's tail draw into every prediction, while a minimum discards the
-// systematic loss recovery the factors exist to price (an incast's
-// "lucky" run dodges the very losses κ summarizes). The median is
-// robust against both.
-//
-// Sampling is adaptive on the per-seed dispersion signal: the first
-// probeSeedsInitial seeds always run; if their spread (max−min)
-// exceeds stableSpread × median — the same overlap-prone dispersion
-// probe.unstable warns about — the remaining probeSeeds run too
-// (bounded at five) and the median widens to all samples. Stable
-// probes pay three simulations, seed-lottery ones five.
-//
-// Both the initial fits and the post-selection refits
-// (internal/grid/coords.go) share this one harness, so
-// the statistic and seed schedule cannot drift apart. The raw per-seed
-// times come back in probeSeeds order for dispersion diagnostics
-// (recordProbe); given the same baseSeed and closure behavior, the
-// samples and median are identical in any process.
-func probeTypical(baseSeed int64, stableSpread float64, run func(seed int64) (float64, error)) (float64, []float64, error) {
-	seeds := probeSeeds(baseSeed)
-	times := make([]float64, 0, len(seeds))
-	for _, sd := range seeds[:probeSeedsInitial] {
-		one, err := run(sd)
-		if err != nil {
-			return 0, nil, err
+// factorSweep is one contention-factor curve's fit: a probe per
+// Options.ProbeSizes entry, each inverted for one curve point. The
+// factor curves (γ_wan per tier, ω, κ, the per-kind corrections) differ
+// only in what run simulates and what invert solves for.
+type factorSweep struct {
+	// factor, tier and stage label the sweep's ProbeStats and events.
+	factor, tier, stage string
+	// seed is the base of the probes' seed schedule (probeSeeds).
+	seed int64
+	// run simulates the probe at per-pair size m under one seed; it must
+	// be safe to call concurrently (see probeRun).
+	run func(m int, seed int64) (float64, error)
+	// invert turns the median completion time at size m into the factor.
+	invert func(m int, median float64) float64
+	// probes holds the finished probe of each size, for folds that read
+	// across sweeps (checkOverlap); curve is the fitted result.
+	probes []*probeRun
+	points []model.FactorPoint
+	curve  model.FactorCurve
+}
+
+// sweepFactors fits each sweep's curve. All sweeps' probes at all
+// sizes run as one batch on the worker pool (each seed builds its own
+// grid and Simulator); the results are then folded on this goroutine
+// size by size, sweeps in argument order — recordProbe, invert,
+// fit.point — with afterSize (optional) closing each size, so events,
+// ProbeStats and Warnings are bit-identical to sequential runs. Both the
+// initial fits and the post-selection refits go through here, so the
+// statistic and seed schedule cannot drift apart.
+func (pl *Planner) sweepFactors(sp *obs.Span, afterSize func(i, m int), sweeps ...*factorSweep) error {
+	opt := pl.opt
+	var batch []*probeRun
+	for _, m := range opt.ProbeSizes {
+		for _, sw := range sweeps {
+			m, sw := m, sw
+			pr := &probeRun{baseSeed: sw.seed, run: func(sd int64) (float64, error) { return sw.run(m, sd) }}
+			sw.probes = append(sw.probes, pr)
+			batch = append(batch, pr)
 		}
-		times = append(times, one)
 	}
-	if lo, med, hi := dispersion(times); med > 0 && hi-lo > stableSpread*med {
-		for _, sd := range seeds[probeSeedsInitial:] {
-			one, err := run(sd)
-			if err != nil {
-				return 0, nil, err
+	runProbes(opt.Workers, opt.StableSpread, batch)
+
+	for i, m := range opt.ProbeSizes {
+		for _, sw := range sweeps {
+			pr := sw.probes[i]
+			if pr.err != nil {
+				return pr.err
 			}
-			times = append(times, one)
+			pl.recordProbe(sp, sw.factor, sw.tier, sw.stage, m, sw.seed, pr.times)
+			f := sw.invert(m, pr.median)
+			sp.Event("fit.point", obs.Str("factor", sw.factor), obs.Int("size", m), obs.F64("value", f))
+			sw.points = append(sw.points, model.FactorPoint{Bytes: m, Factor: f})
+		}
+		if afterSize != nil {
+			afterSize(i, m)
 		}
 	}
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	return sorted[len(sorted)/2], times, nil
+	for _, sw := range sweeps {
+		sw.curve = model.CurveOf(sw.points...)
+	}
+	return nil
 }
 
 // fitTierGammas fits every tier's flat-exchange contention-factor
@@ -821,73 +811,47 @@ func probeTypical(baseSeed int64, stableSpread float64, run func(seed int64) (fl
 // flat exchanges at every probe size, and the model decomposition —
 // whose inner tiers already carry their fitted curves — is inverted
 // for the tier's residual inflation per size. Structurally identical
-// subtrees share one fit through the cache; a cache hit reuses the fit
-// without probing, so cached tiers record no span or samples.
-func (pl *Planner) fitTierGammas(topo cluster.TopoNode, mod *model.ModelNode, cache map[string]model.FactorCurve, parent *obs.Span) error {
-	opt := pl.opt
+// subtrees share one fit; a reused fit does not probe, so it records no
+// span or samples.
+func (pl *Planner) fitTierGammas(topo cluster.TopoNode, mod *model.ModelNode, parent *obs.Span) (err error) {
 	if topo.IsLeaf() {
 		return nil
 	}
 	for i := range topo.Children {
-		if err := pl.fitTierGammas(topo.Children[i], mod.Children[i], cache, parent); err != nil {
+		if err := pl.fitTierGammas(topo.Children[i], mod.Children[i], parent); err != nil {
 			return err
 		}
 	}
-	probeTopo := cappedTree(topo, opt.ProbeCap)
 	// Fits are keyed by the tier's uncapped structure — the same key the
 	// tier's WAN curve uses — so CurveStore.Invalidate's substring rule
 	// covers the γ fit along with the curve. The probe simulations below
 	// run on the capped tree, so tiers identical when capped but not
 	// uncapped fit identical values from separate (deterministic) probes
-	// instead of sharing one cache entry.
-	key := topoKey(topo)
-	if gamma, ok := cache[key]; ok {
-		mod.Wan.Gamma = gamma
-		return nil
-	}
-	if gamma, ok := pl.sv.gamma(parent, key); ok {
-		cache[key] = gamma
-		mod.Wan.Gamma = gamma
-		return nil
-	}
-	sp := parent.Span("tier.fit_gamma", obs.Str("tier", topo.Name), obs.Int("height", topo.Height()))
-	defer sp.End()
-	probeModel := model.GridModel{Root: cappedModel(mod, opt.ProbeCap)}
-	// Per-size probes are independent (each seed builds its own grid
-	// and Simulator), so the whole (size × seed) batch fans out across
-	// the worker pool; recordProbe/fit.point events follow in size
-	// order from this goroutine, bit-identical to sequential runs.
-	probes := make([]*probeRun, len(opt.ProbeSizes))
-	for i, p := range opt.ProbeSizes {
-		m := p
-		probes[i] = &probeRun{baseSeed: opt.Seed + 53, run: func(sd int64) (float64, error) {
-			return opt.probe(probeTopo, coll.Uniform(coll.KindAlltoall, m), FlatDirect, nil, sd)
-		}}
-	}
-	runProbes(opt.Workers, opt.StableSpread, probes)
-	points := make([]model.FactorPoint, 0, len(opt.ProbeSizes))
-	for i, p := range opt.ProbeSizes {
-		pr := probes[i]
-		if pr.err != nil {
-			return pr.err
+	// instead of sharing one record.
+	mod.Wan.Gamma, err = fetch(pl.sv, parent, recGamma, topoKey(topo), func() (model.FactorCurve, error) {
+		sp := parent.Span("tier.fit_gamma", obs.Str("tier", topo.Name), obs.Int("height", topo.Height()))
+		defer sp.End()
+		probeTopo := cappedTree(topo, probeCap)
+		probeModel := model.GridModel{Root: cappedModel(mod, probeCap)}
+		sw := &factorSweep{
+			factor: "gamma_wan", tier: topo.Name, stage: "characterize", seed: pl.opt.Seed + 53,
+			run: func(m int, sd int64) (float64, error) {
+				return pl.opt.probe(probeTopo, coll.Uniform(coll.KindAlltoall, m), FlatDirect, nil, sd)
+			},
+			invert: func(m int, median float64) float64 { return invertFactor(probeModel, m, FlatDirect, median) },
 		}
-		pl.recordProbe(sp, "gamma_wan", topo.Name, "characterize", p, opt.Seed+53, pr.times)
-		gamma := invertFactor(probeModel, p, FlatDirect, pr.median)
-		sp.Event("fit.point", obs.Str("factor", "gamma_wan"), obs.Int("size", p), obs.F64("value", gamma))
-		points = append(points, model.FactorPoint{Bytes: p, Factor: gamma})
-	}
-	curve := model.CurveOf(points...)
-	mod.Wan.Gamma = curve
-	cache[key] = curve
-	pl.sv.putGamma(key, curve)
-	return nil
+		err := pl.sweepFactors(sp, nil, sw)
+		return sw.curve, err
+	})
+	return err
 }
 
-// fitStrategyFactors runs the two hierarchical strategies on a capped
-// probe grid at every probe size and inverts the model decompositions
-// for the factor curves the analytics cannot supply — the grid
-// analogue of fitting γ at a modest n′ and extrapolating, extended
-// along the size axis:
+// probeStrategyFactors runs the two hierarchical strategies of one fit
+// stage ("characterize", or "refit" with the selected spec) on the
+// capped probe grid at every probe size and inverts probeModel's
+// decompositions for the factor curves the analytics cannot supply —
+// the grid analogue of fitting γ at a modest n′ and extrapolating,
+// extended along the size axis:
 //
 //	ω  hier-direct: WAN-leg inflation from overlapped LAN traffic
 //	κ  hier-gather: coordinator-incast inflation of the synchronized
@@ -896,76 +860,21 @@ func (pl *Planner) fitTierGammas(topo cluster.TopoNode, mod *model.ModelNode, ca
 // Each probe's per-seed dispersion lands in pl.ProbeStats, and sizes
 // where the two strategies' per-seed supports overlap are flagged in
 // pl.Warnings (see ProbeWarning).
-func (pl *Planner) fitStrategyFactors(topo cluster.TopoNode, gm model.GridModel, parent *obs.Span) (omega, kappa model.FactorCurve, err error) {
-	opt := pl.opt
-	// Strategy factors are whole-topology fits, keyed apart from the
-	// per-tier records ("S|" prefix; the post-selection refit uses "R|").
-	// A hit restores the fitted curves without probing, so the build
-	// records no omega/kappa ProbeStats or overlap warnings — the cached
-	// analogue of a shared tier fit.
-	skey := "S|" + topoKey(topo)
-	if rec, ok := pl.sv.strategy(parent, skey); ok {
-		return rec.Omega, rec.Kappa, nil
-	}
-	probeTopo := cappedTree(topo, opt.ProbeCap)
-	probeModel := model.GridModel{Root: cappedModel(gm.Root, opt.ProbeCap)}
-	sp := parent.Span("planner.fit_strategy", obs.Int("probe_cap", opt.ProbeCap))
-	defer sp.End()
-
-	omega, kappa, err = pl.probeStrategyFactors(sp, "characterize", probeTopo, probeModel, nil)
-	if err != nil {
-		return model.FactorCurve{}, model.FactorCurve{}, err
-	}
-	pl.sv.putStrategy(skey, storedStrategy{Omega: omega, Kappa: kappa})
-	return omega, kappa, nil
-}
-
-// probeStrategyFactors runs the ω (hier-direct) and κ (hier-gather)
-// probes of one fit stage ("characterize", or "refit" with the selected
-// spec) on the capped probe grid and inverts probeModel's
-// decompositions for one factor point per probe size. Both strategies ×
-// all sizes fan out as one probe batch; results are then folded in the
-// sequential order (per size: ω probe, κ probe, overlap check) so
-// events, ProbeStats and Warnings are bit-identical to sequential runs.
-func (pl *Planner) probeStrategyFactors(sp *obs.Span, stage string, probeTopo cluster.TopoNode, probeModel model.GridModel, spec *coll.TreeSpec) (omega, kappa model.FactorCurve, err error) {
-	opt := pl.opt
-	hdProbes := make([]*probeRun, len(opt.ProbeSizes))
-	hgProbes := make([]*probeRun, len(opt.ProbeSizes))
-	batch := make([]*probeRun, 0, 2*len(opt.ProbeSizes))
-	for i, p := range opt.ProbeSizes {
-		w := coll.Uniform(coll.KindAlltoall, p)
-		hdProbes[i] = &probeRun{baseSeed: opt.Seed + 71, run: func(sd int64) (float64, error) {
-			return opt.probe(probeTopo, w, HierDirect, spec, sd)
-		}}
-		hgProbes[i] = &probeRun{baseSeed: opt.Seed + 89, run: func(sd int64) (float64, error) {
-			return opt.probe(probeTopo, w, HierGather, spec, sd)
-		}}
-		batch = append(batch, hdProbes[i], hgProbes[i])
-	}
-	runProbes(opt.Workers, opt.StableSpread, batch)
-
-	var omegaPts, kappaPts []model.FactorPoint
-	for i, p := range opt.ProbeSizes {
-		hd, hg := hdProbes[i], hgProbes[i]
-		if hd.err != nil {
-			return model.FactorCurve{}, model.FactorCurve{}, hd.err
+func (pl *Planner) probeStrategyFactors(sp *obs.Span, stage string, probeTopo cluster.TopoNode, probeModel model.GridModel, spec *coll.TreeSpec) (storedStrategy, error) {
+	sweepOf := func(factor string, seedOff int64, s Strategy) *factorSweep {
+		return &factorSweep{
+			factor: factor, stage: stage, seed: pl.opt.Seed + seedOff,
+			run: func(m int, sd int64) (float64, error) {
+				return pl.opt.probe(probeTopo, coll.Uniform(coll.KindAlltoall, m), s, spec, sd)
+			},
+			invert: func(m int, median float64) float64 { return invertFactor(probeModel, m, s, median) },
 		}
-		pl.recordProbe(sp, "omega", "", stage, p, opt.Seed+71, hd.times)
-		o := invertFactor(probeModel, p, HierDirect, hd.median)
-		sp.Event("fit.point", obs.Str("factor", "omega"), obs.Int("size", p), obs.F64("value", o))
-		omegaPts = append(omegaPts, model.FactorPoint{Bytes: p, Factor: o})
-
-		if hg.err != nil {
-			return model.FactorCurve{}, model.FactorCurve{}, hg.err
-		}
-		pl.recordProbe(sp, "kappa", "", stage, p, opt.Seed+89, hg.times)
-		k := invertFactor(probeModel, p, HierGather, hg.median)
-		sp.Event("fit.point", obs.Str("factor", "kappa"), obs.Int("size", p), obs.F64("value", k))
-		kappaPts = append(kappaPts, model.FactorPoint{Bytes: p, Factor: k})
-
-		pl.checkOverlap(sp, stage, p, hd.times, hg.times)
 	}
-	return model.CurveOf(omegaPts...), model.CurveOf(kappaPts...), nil
+	hd, hg := sweepOf("omega", 71, HierDirect), sweepOf("kappa", 89, HierGather)
+	err := pl.sweepFactors(sp, func(i, m int) {
+		pl.checkOverlap(sp, stage, m, hd.probes[i].times, hg.probes[i].times)
+	}, hd, hg)
+	return storedStrategy{Omega: hd.curve, Kappa: hg.curve}, err
 }
 
 // Prediction is one strategy's predicted completion time.

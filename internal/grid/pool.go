@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -51,12 +50,12 @@ func parallelDo(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// probeRun is one contention-factor probe scheduled on the pool: the
-// batch analogue of a probeTypical call. run must be safe to invoke
-// concurrently with other probes' runs (each invocation builds its own
-// simulation). After runProbes, either err is set or times holds the
-// per-seed samples in probeSeeds order and median their median —
-// exactly probeTypical's return values for the same baseSeed and run.
+// probeRun is one contention-factor probe scheduled on the pool. run
+// must be safe to invoke concurrently with other probes' runs (each
+// invocation builds its own simulation). After runProbes, either err is
+// set or times holds the per-seed samples in probeSeeds order and median
+// their median; given the same baseSeed and run behavior both are
+// identical in any process and for any worker count.
 type probeRun struct {
 	baseSeed int64
 	run      func(seed int64) (float64, error)
@@ -67,12 +66,22 @@ type probeRun struct {
 }
 
 // runProbes executes a batch of probes over the stop-when-stable seed
-// schedule, fanning every (probe, seed) simulation across the worker
-// pool. Two phases: all probes' initial seeds run first; then the
-// dispersion gate is evaluated sequentially (same rule as probeTypical)
-// and unstable probes' extension seeds form a second parallel phase.
-// Error semantics match probeTypical: a probe reports its first error
-// in seed order, with no samples.
+// schedule and keeps each probe's median run. Completion times on lossy
+// WANs are heavy-tailed upward — a single retransmission timeout adds
+// whole RTO periods — so a mean bakes one seed's tail draw into every
+// prediction, while a minimum discards the systematic loss recovery the
+// factors exist to price (an incast's "lucky" run dodges the very losses
+// κ summarizes). The median is robust against both.
+//
+// Sampling is adaptive on the per-seed dispersion signal, in two phases
+// that each fan every (probe, seed) simulation across the worker pool:
+// the first probeSeedsInitial seeds of every probe always run; the
+// dispersion gate is then evaluated sequentially, and a probe whose
+// spread (max−min) exceeds stableSpread × median — the same
+// overlap-prone dispersion probe.unstable warns about — runs the
+// remaining probeSeeds too (bounded at five), widening its median to all
+// samples. Stable probes pay three simulations, seed-lottery ones five.
+// A probe reports its first error in seed order, with no samples.
 func runProbes(workers int, stableSpread float64, probes []*probeRun) {
 	type job struct{ p, s int }
 	res := make([][]float64, len(probes))
@@ -129,8 +138,6 @@ func runProbes(workers int, stableSpread float64, probes []*probeRun) {
 		if p.err != nil {
 			continue
 		}
-		sorted := append([]float64(nil), p.times...)
-		sort.Float64s(sorted)
-		p.median = sorted[len(sorted)/2]
+		_, p.median, _ = dispersion(p.times)
 	}
 }

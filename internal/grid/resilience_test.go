@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,6 +171,26 @@ func TestReportDeltaSkipsSmall(t *testing.T) {
 	}
 	if svc.Len() != 1 {
 		t.Fatalf("planner cache disturbed: %d entries", svc.Len())
+	}
+
+	// Garbage deltas are rejected by name before anything is invalidated.
+	for _, tc := range []struct {
+		d    Delta
+		want string
+	}{
+		{Delta{RateFactor: math.NaN()}, "RateFactor"},
+		{Delta{RateFactor: 0.5, Size: -1}, "Size"},
+	} {
+		rep, err := svc.ReportDelta(topo, TierKey(topo.Children[0]), tc.d)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: replan %+v, error %v; want an error naming %s", tc.d, rep, err, tc.want)
+		}
+		if got := svc.Store().Len(); got != records {
+			t.Fatalf("%+v: store went from %d to %d records on a rejected delta", tc.d, records, got)
+		}
+		if svc.Len() != 1 {
+			t.Fatalf("%+v: planner cache disturbed: %d entries", tc.d, svc.Len())
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -332,14 +334,18 @@ type Replan struct {
 // the changed NodeLinkRates entry, which changes the leaf's TierKey so
 // its old curves cannot be mistaken for current ones, and the refit's
 // headroom probes then steer coordinators off the degraded port.
-// Safe for concurrent use; concurrent ReportDelta calls for one
-// topology serialize on the entry lock like SelectCoordinators.
+// Deltas are monitor input: a RateFactor that is not a positive finite
+// number or a negative Size is rejected by name before anything is
+// invalidated. Safe for concurrent use; concurrent ReportDelta calls for
+// one topology serialize on the entry lock like SelectCoordinators.
 func (s *Service) ReportDelta(topo cluster.TopoNode, tierKey string, d Delta) (*Replan, error) {
-	dev := d.RateFactor - 1
-	if dev < 0 {
-		dev = -dev
+	if math.IsNaN(d.RateFactor) || math.IsInf(d.RateFactor, 0) || d.RateFactor <= 0 {
+		return nil, fmt.Errorf("grid: Delta.RateFactor %v is not a positive finite ratio", d.RateFactor)
 	}
-	if dev < DeltaThreshold {
+	if d.Size < 0 {
+		return nil, fmt.Errorf("grid: Delta.Size %d is negative", d.Size)
+	}
+	if math.Abs(d.RateFactor-1) < DeltaThreshold {
 		return &Replan{Skipped: true}, nil
 	}
 	if d.Size == 0 {

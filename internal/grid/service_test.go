@@ -432,17 +432,17 @@ func TestStoreGoldenFile(t *testing.T) {
 	h := model.Hockney{Alpha: 12e-6, Beta: 9.2e-9}
 	st := NewCurveStore()
 	st.optKey = "fitn=6 seed=3"
-	st.putLeaf(0, "leaf-a", storedLeaf{
+	st.leaves.put(0, "leaf-a", storedLeaf{
 		Hockney:   h,
 		Signature: model.Signature{H: h, Gamma: 1.5, Delta: 0.25},
 	})
-	st.putHeadroom(0, "leaf-a|3", []float64{1.25e8, 1.25e8, 1.2e7})
-	st.putTier(0, "G{tier}", storedTier{
+	st.headroom.put(0, "leaf-a|3", []float64{1.25e8, 1.25e8, 1.2e7})
+	st.tiers.put(0, "G{tier}", storedTier{
 		Curve:    []model.WANPoint{{Bytes: 2048, T: 0.021}, {Bytes: 1 << 20, T: 0.25}},
 		BetaWire: 8.6e-9,
 	})
-	st.putGamma(0, "G{tier}", model.CurveOf(model.FactorPoint{Bytes: 64 << 10, Factor: 2.5}))
-	st.putStrategy(0, "S|G{tier}", storedStrategy{
+	st.gammas.put(0, "G{tier}", model.CurveOf(model.FactorPoint{Bytes: 64 << 10, Factor: 2.5}))
+	st.strategies.put(0, "S|G{tier}", storedStrategy{
 		Omega: model.CurveOf(model.FactorPoint{Bytes: 64 << 10, Factor: 1.75}),
 		Kappa: model.CurveOf(model.FactorPoint{Bytes: 64 << 10, Factor: 3.125}),
 	})

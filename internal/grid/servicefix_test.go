@@ -1,8 +1,12 @@
 package grid
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,45 +17,273 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStoreEpochDropsStaleBuildWrites is the regression test for the
-// Invalidate race: a build (storeView) that snapshotted its epoch
-// before an Invalidate must not write fits back — its put is dropped,
-// counted under store.stale_drop, and the record stays absent so the
-// next build re-probes it.
-func TestStoreEpochDropsStaleBuildWrites(t *testing.T) {
+// fetchOf binds one fetch call — kind, key and the value its fit
+// returns — for TestFetch's rows; the harness supplies the view, the
+// span, the fit-call counter and the fit's error.
+func fetchOf[V any](kind recordKind[V], key string, fitted V) func(*storeView, *obs.Span, *int, error) (any, error) {
+	return func(v *storeView, sp *obs.Span, calls *int, fitErr error) (any, error) {
+		rec, err := fetch(v, sp, kind, key, func() (V, error) {
+			*calls++
+			return fitted, fitErr
+		})
+		return rec, err
+	}
+}
+
+// TestFetch pins the one get-or-fit path every characterization stage
+// goes through: memo, then store (counted under the kind's own name),
+// then fit with memoization and an epoch-guarded write-back. The
+// stale-epoch rows are the regression test for the Invalidate race: a
+// view that snapshotted its epoch before an Invalidate keeps its fitted
+// value but must not write it back.
+func TestFetch(t *testing.T) {
+	stored, fitted := model.ScalarFactor(2), model.ScalarFactor(3)
+	both := func(c model.FactorCurve) storedStrategy { return storedStrategy{Omega: c, Kappa: c} }
+	tier := storedTier{Curve: []model.WANPoint{{Bytes: 1 << 10, T: 0.01}, {Bytes: 64 << 10, T: 0.1}}}
+	boom := errors.New("boom")
+	hit := func(kind string) []obs.Attr { return []obs.Attr{obs.Str("event", CtrStoreHit), obs.Str("kind", kind)} }
+	miss := func(kind string) []obs.Attr { return []obs.Attr{obs.Str("event", CtrStoreMiss), obs.Str("kind", kind)} }
+
+	cases := []struct {
+		name    string
+		noStore bool
+		// seed prepares the store and the view before the fetch under test.
+		seed   func(t *testing.T, st *CurveStore, v *storeView)
+		do     func(*storeView, *obs.Span, *int, error) (any, error)
+		fitErr error
+		// Expected outcome of the fetch under test.
+		want      any
+		fitCalls  int
+		events    [][]obs.Attr // name + kind of each emitted event, in order
+		staleDrop uint64
+		// after checks what the fetch left behind.
+		after func(t *testing.T, st *CurveStore, v *storeView)
+	}{
+		{
+			name: "memo-hit", // silent, and does not touch the store
+			seed: func(t *testing.T, st *CurveStore, v *storeView) {
+				calls := 0
+				if _, err := fetchOf(recGamma, "G{t}", fitted)(v, nil, &calls, nil); err != nil || calls != 1 {
+					t.Fatalf("seeding fetch: err %v, %d fit calls", err, calls)
+				}
+				// Gone from the store (which makes the view stale too): only
+				// the memo can still serve the key, and nothing may re-store it.
+				if n := st.Invalidate("G{t}"); n != 1 {
+					t.Fatalf("Invalidate dropped %d records, want 1", n)
+				}
+			},
+			do:   fetchOf(recGamma, "G{t}", stored),
+			want: fitted,
+			after: func(t *testing.T, st *CurveStore, v *storeView) {
+				if st.Len() != 0 {
+					t.Fatal("memo hit wrote to the store")
+				}
+			},
+		},
+		{
+			name:   "store-hit-gamma",
+			seed:   func(t *testing.T, st *CurveStore, v *storeView) { st.gammas.put(0, "G{t}", stored) },
+			do:     fetchOf(recGamma, "G{t}", fitted),
+			want:   stored,
+			events: [][]obs.Attr{hit("gamma")},
+		},
+		{
+			name:   "store-hit-kind", // shares the gammas table but not the name
+			seed:   func(t *testing.T, st *CurveStore, v *storeView) { st.gammas.put(0, "K|reduce|G{t}", stored) },
+			do:     fetchOf(recKind, "K|reduce|G{t}", fitted),
+			want:   stored,
+			events: [][]obs.Attr{hit("kind")},
+		},
+		{
+			name:   "store-hit-strategy",
+			seed:   func(t *testing.T, st *CurveStore, v *storeView) { st.strategies.put(0, "S|G{t}", both(stored)) },
+			do:     fetchOf(recStrategy, "S|G{t}", both(fitted)),
+			want:   both(stored),
+			events: [][]obs.Attr{hit("strategy")},
+		},
+		{
+			name:   "store-hit-refit", // shares the strategies table but not the name
+			seed:   func(t *testing.T, st *CurveStore, v *storeView) { st.strategies.put(0, "R|G{t}|d;1", both(stored)) },
+			do:     fetchOf(recRefit, "R|G{t}|d;1", both(fitted)),
+			want:   both(stored),
+			events: [][]obs.Attr{hit("refit")},
+		},
+		{
+			name:     "miss", // fits once, stores and memoizes
+			do:       fetchOf(recTier, "G{t}", tier),
+			want:     tier,
+			fitCalls: 1,
+			events:   [][]obs.Attr{miss("tier")},
+			after: func(t *testing.T, st *CurveStore, v *storeView) {
+				if got, ok := st.tiers.get("G{t}"); !ok || !reflect.DeepEqual(got, tier) {
+					t.Fatalf("fit was not written back: ok=%v rec=%+v", ok, got)
+				}
+				calls := 0
+				if _, err := fetchOf(recTier, "G{t}", tier)(v, nil, &calls, nil); err != nil || calls != 0 {
+					t.Fatalf("second fetch: err %v, %d fit calls, want the memo to serve it", err, calls)
+				}
+			},
+		},
+		{
+			name:     "fit-error", // nothing memoized or stored
+			do:       fetchOf(recGamma, "G{t}", model.FactorCurve{}),
+			fitErr:   boom,
+			want:     model.FactorCurve{},
+			fitCalls: 1,
+			events:   [][]obs.Attr{miss("gamma")},
+			after: func(t *testing.T, st *CurveStore, v *storeView) {
+				if st.Len() != 0 {
+					t.Fatal("failed fit stored a record")
+				}
+				calls := 0
+				if got, err := fetchOf(recGamma, "G{t}", fitted)(v, nil, &calls, nil); err != nil || calls != 1 || !reflect.DeepEqual(got, fitted) {
+					t.Fatalf("fetch after a failed fit: %+v, err %v, %d fit calls; want a fresh fit", got, err, calls)
+				}
+			},
+		},
+		{
+			name: "stale-epoch", // keeps the fit, drops the write-back
+			seed: func(t *testing.T, st *CurveStore, v *storeView) {
+				// Zero records match, but the epoch still advances past the view's.
+				if n := st.Invalidate("G{elsewhere}"); n != 0 {
+					t.Fatalf("Invalidate dropped %d records, want 0", n)
+				}
+			},
+			do:        fetchOf(recGamma, "G{t}", fitted),
+			want:      fitted,
+			fitCalls:  1,
+			events:    [][]obs.Attr{miss("gamma")},
+			staleDrop: 1,
+			after: func(t *testing.T, st *CurveStore, v *storeView) {
+				if _, ok := st.gammas.get("G{t}"); ok {
+					t.Fatal("stale build re-inserted a record")
+				}
+				// A view opened after the invalidation writes through again.
+				calls := 0
+				if _, err := fetchOf(recGamma, "G{t}", fitted)(newStoreView(st, v.c), nil, &calls, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := st.gammas.get("G{t}"); !ok {
+					t.Fatal("post-invalidation build could not write")
+				}
+			},
+		},
+		{
+			name:     "nil-store", // fits, memoizes and emits nothing
+			noStore:  true,
+			do:       fetchOf(recHeadroom, "p|3", []float64{1e8, 1e8, 1e7}),
+			want:     []float64{1e8, 1e8, 1e7},
+			fitCalls: 1,
+			after: func(t *testing.T, st *CurveStore, v *storeView) {
+				calls := 0
+				if _, err := fetchOf(recHeadroom, "p|3", []float64(nil))(v, nil, &calls, nil); err != nil || calls != 0 {
+					t.Fatalf("second fetch: err %v, %d fit calls, want the memo to serve it", err, calls)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := obs.New()
+			var st *CurveStore
+			if !tc.noStore {
+				st = NewCurveStore()
+			}
+			v := newStoreView(st, c)
+			if tc.seed != nil {
+				tc.seed(t, st, v)
+			}
+			c.Reset()
+			sp := c.Span("fetch-under-test")
+			calls := 0
+			got, err := tc.do(v, sp, &calls, tc.fitErr)
+			if !errors.Is(err, tc.fitErr) {
+				t.Fatalf("err = %v, want %v", err, tc.fitErr)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("fetched %+v, want %+v", got, tc.want)
+			}
+			if calls != tc.fitCalls {
+				t.Fatalf("fit ran %d times, want %d", calls, tc.fitCalls)
+			}
+			var events [][]obs.Attr
+			for _, ev := range c.Events() {
+				if ev.Type == "event" {
+					events = append(events, append([]obs.Attr{obs.Str("event", ev.Name)}, ev.Attrs...))
+				}
+			}
+			if !reflect.DeepEqual(events, tc.events) {
+				t.Fatalf("events = %v, want %v", events, tc.events)
+			}
+			// Counters move with the events, one for one.
+			var wantHit, wantMiss uint64
+			for _, ev := range tc.events {
+				if ev[0] == obs.Str("event", CtrStoreHit) {
+					wantHit++
+				} else {
+					wantMiss++
+				}
+			}
+			if h, m := counterValue(c, CtrStoreHit), counterValue(c, CtrStoreMiss); h != wantHit || m != wantMiss {
+				t.Fatalf("%s/%s = %d/%d, want %d/%d", CtrStoreHit, CtrStoreMiss, h, m, wantHit, wantMiss)
+			}
+			if got := counterValue(c, CtrStoreStale); got != tc.staleDrop {
+				t.Fatalf("%s = %d, want %d", CtrStoreStale, got, tc.staleDrop)
+			}
+			if tc.after != nil {
+				tc.after(t, st, v)
+			}
+		})
+	}
+}
+
+// TestStoreRecordsDoNotAliasPlanners: a planner's exported fields are
+// the caller's to scribble on, so neither a planner that filled the
+// store nor one served from it may share backing arrays with the stored
+// records — the next planner, and the next SaveStore, must see the
+// fitted values.
+func TestStoreRecordsDoNotAliasPlanners(t *testing.T) {
+	topo, opt := testTopo(), cheapOptions()
 	st := NewCurveStore()
-	c := obs.New()
-	view := newStoreView(st, c)
-	curve := model.CurveOf(model.FactorPoint{Bytes: 64 << 10, Factor: 1.5})
+	scribble := func(pl *Planner) {
+		for _, rates := range pl.Headroom {
+			for i := range rates {
+				rates[i] = -1
+			}
+		}
+		pl.Model.Root.Wan.Curve[0].T = -1
+		pl.Model.Root.Wan.Gamma.Points[0].Factor = -1
+		pl.Model.OverlapGamma.Points[0].Factor = -1
+	}
+	filler, err := newPlannerWithStore(topo, opt, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(filler.Headroom, filler.Predict(32<<10))
+	var before bytes.Buffer
+	if err := st.WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	scribble(filler)
+	served, err := newPlannerWithStore(topo, opt, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(served)
 
-	// A fresh view writes through: epoch matches.
-	view.putGamma("g|old", curve)
-	if _, ok := st.gamma("g|old"); !ok {
-		t.Fatal("pre-invalidation put did not store")
+	next, err := newPlannerWithStore(topo, opt, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if n := st.Invalidate("g|old"); n != 1 {
-		t.Fatalf("Invalidate dropped %d records, want 1", n)
+	if got := fmt.Sprint(next.Headroom, next.Predict(32<<10)); got != want {
+		t.Fatalf("mutating earlier planners changed the next one:\n got %s\nwant %s", got, want)
 	}
-
-	// The same view is now stale: its write-backs must be dropped.
-	view.putGamma("g|old", curve)
-	if _, ok := st.gamma("g|old"); ok {
-		t.Fatal("stale build re-inserted an invalidated record")
+	var after bytes.Buffer
+	if err := st.WriteJSON(&after); err != nil {
+		t.Fatal(err)
 	}
-	view.putTier("t|new", storedTier{Curve: []model.WANPoint{{Bytes: 1 << 10, T: 0.01}, {Bytes: 64 << 10, T: 0.1}}})
-	if _, ok := st.tier("t|new"); ok {
-		t.Fatal("stale build stored a tier record")
-	}
-	if got := counterValue(c, CtrStoreStale); got != 2 {
-		t.Fatalf("%s = %d, want 2", CtrStoreStale, got)
-	}
-
-	// A view opened after the invalidation writes through again.
-	fresh := newStoreView(st, c)
-	fresh.putGamma("g|old", curve)
-	if _, ok := st.gamma("g|old"); !ok {
-		t.Fatal("post-invalidation build could not write")
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Fatalf("mutating planners changed the serialized store:\n got %s\nwant %s", after.Bytes(), before.Bytes())
 	}
 }
 

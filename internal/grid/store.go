@@ -2,11 +2,14 @@ package grid
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,11 +62,11 @@ type CurveStore struct {
 	// valid for the exact configuration that filled it (bind rejects
 	// mismatches instead of silently mispredicting).
 	optKey     string
-	leaves     map[string]storedLeaf
-	headroom   map[string][]float64
-	tiers      map[string]storedTier
-	gammas     map[string]model.FactorCurve
-	strategies map[string]storedStrategy
+	leaves     *table[storedLeaf]
+	headroom   *table[[]float64]
+	tiers      *table[storedTier]
+	gammas     *table[model.FactorCurve]
+	strategies *table[storedStrategy]
 	// epoch is the build-epoch guard against the Invalidate race: every
 	// Invalidate bumps it, and a put carrying an older epoch (a build
 	// that started before the invalidation) is dropped instead of
@@ -101,6 +104,83 @@ type storedStrategy struct {
 	Kappa model.FactorCurve
 }
 
+// table is one of the store's five keyed record maps — the single
+// mechanism behind every record kind. The owning store's lock guards m
+// and its build epoch gates put; all a table supplies of its own is how
+// to validate one record and how to deep-copy one.
+type table[V any] struct {
+	st *CurveStore
+	m  map[string]V
+	// label names the table in load errors.
+	label string
+	// check validates one record before a load makes it servable.
+	check func(V) error
+	// clone deep-copies one record. It runs in both directions — on put
+	// and on get — so neither the writer's value nor a value handed to a
+	// planner (whose exported fields callers may mutate) shares backing
+	// arrays with the stored record.
+	clone func(V) V
+}
+
+func newTable[V any](st *CurveStore, label string, check func(V) error, clone func(V) V) *table[V] {
+	return &table[V]{st: st, m: map[string]V{}, label: label, check: check, clone: clone}
+}
+
+// get returns a private copy of the record stored under key.
+func (t *table[V]) get(key string) (V, bool) {
+	t.st.mu.RLock()
+	defer t.st.mu.RUnlock()
+	v, ok := t.m[key]
+	if ok {
+		v = t.clone(v)
+	}
+	return v, ok
+}
+
+// put stores a private copy of v under key. It carries the writing
+// build's epoch snapshot and reports whether the record was stored
+// (false: the build is stale — an Invalidate happened after it started).
+func (t *table[V]) put(epoch uint64, key string, v V) bool {
+	t.st.mu.Lock()
+	defer t.st.mu.Unlock()
+	if epoch != t.st.epoch {
+		return false
+	}
+	t.m[key] = t.clone(v)
+	return true
+}
+
+// drop deletes every record whose key contains sub and returns how many
+// it deleted. Called with the store's lock held.
+func (t *table[V]) drop(sub string) int {
+	before := len(t.m)
+	maps.DeleteFunc(t.m, func(k string, _ V) bool { return strings.Contains(k, sub) })
+	return before - len(t.m)
+}
+
+// load validates a deserialized map and makes its records servable.
+func (t *table[V]) load(recs map[string]V) error {
+	for k, v := range recs {
+		if err := t.check(v); err != nil {
+			return fmt.Errorf("grid: store %s %q: %w", t.label, k, err)
+		}
+		t.m[k] = v
+	}
+	return nil
+}
+
+// mergeDisk folds an on-disk table under an in-memory snapshot of it:
+// memory wins every conflict, and disk records absent from memory are
+// kept unless their key contains one of the invalidated tier keys.
+func mergeDisk[V any](mem map[string]V, disk *table[V], invalidated []string) {
+	for k, v := range disk.m {
+		_, have := mem[k]
+		if !have && !slices.ContainsFunc(invalidated, func(tk string) bool { return strings.Contains(k, tk) }) {
+			mem[k] = v
+		}
+	}
+}
+
 // storeFile is the serialized form. Maps marshal with sorted keys and
 // floats in shortest-round-trip form, so the output is deterministic
 // and a save→load cycle reproduces every fitted value bit-identically.
@@ -114,15 +194,52 @@ type storeFile struct {
 	Strategies map[string]storedStrategy    `json:"strategies,omitempty"`
 }
 
+// encode renders the file as the store's one on-disk format.
+func (f storeFile) encode() ([]byte, error) {
+	b, err := json.MarshalIndent(f, "", " ")
+	return append(b, '\n'), err
+}
+
+func cloneCurve(c model.FactorCurve) model.FactorCurve {
+	return model.FactorCurve{Points: slices.Clone(c.Points)}
+}
+
 // NewCurveStore returns an empty store.
 func NewCurveStore() *CurveStore {
-	return &CurveStore{
-		leaves:     map[string]storedLeaf{},
-		headroom:   map[string][]float64{},
-		tiers:      map[string]storedTier{},
-		gammas:     map[string]model.FactorCurve{},
-		strategies: map[string]storedStrategy{},
-	}
+	s := &CurveStore{}
+	s.leaves = newTable(s, "leaf",
+		func(v storedLeaf) error { return errors.Join(v.Hockney.Validate(), v.Signature.Validate()) },
+		func(v storedLeaf) storedLeaf { return v })
+	s.headroom = newTable(s, "headroom",
+		func(rates []float64) error {
+			for i, r := range rates {
+				if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+					return fmt.Errorf("entry %d is unusable: %v", i, r)
+				}
+			}
+			return nil
+		},
+		slices.Clone[[]float64])
+	s.tiers = newTable(s, "tier",
+		// Re-validate through WANModel so tier records obey the same
+		// interpolation invariants the planner's own fits do.
+		func(v storedTier) error { return model.WANModel{Curve: v.Curve, BetaWire: v.BetaWire}.Validate() },
+		func(v storedTier) storedTier { return storedTier{Curve: slices.Clone(v.Curve), BetaWire: v.BetaWire} })
+	s.gammas = newTable(s, "gamma", model.FactorCurve.Validate, cloneCurve)
+	s.strategies = newTable(s, "strategy",
+		func(v storedStrategy) error {
+			if err := v.Omega.Validate(); err != nil {
+				return fmt.Errorf("omega: %w", err)
+			}
+			if err := v.Kappa.Validate(); err != nil {
+				return fmt.Errorf("kappa: %w", err)
+			}
+			return nil
+		},
+		func(v storedStrategy) storedStrategy {
+			return storedStrategy{Omega: cloneCurve(v.Omega), Kappa: cloneCurve(v.Kappa)}
+		})
+	return s
 }
 
 // bind pins the store to an Options fingerprint. The first bind adopts
@@ -146,7 +263,7 @@ func (s *CurveStore) bind(optKey string) error {
 func (s *CurveStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.leaves) + len(s.headroom) + len(s.tiers) + len(s.gammas) + len(s.strategies)
+	return len(s.leaves.m) + len(s.headroom.m) + len(s.tiers.m) + len(s.gammas.m) + len(s.strategies.m)
 }
 
 // Invalidate drops every record whose keyed structure contains the
@@ -172,129 +289,26 @@ func (s *CurveStore) Invalidate(tierKey string) int {
 	defer s.mu.Unlock()
 	s.epoch++
 	s.invalidated = append(s.invalidated, tierKey)
-	n := 0
-	for k := range s.tiers {
-		if strings.Contains(k, tierKey) {
-			delete(s.tiers, k)
-			n++
-		}
-	}
-	for k := range s.gammas {
-		if strings.Contains(k, tierKey) {
-			delete(s.gammas, k)
-			n++
-		}
-	}
-	for k := range s.strategies {
-		if strings.Contains(k, tierKey) {
-			delete(s.strategies, k)
-			n++
-		}
-	}
-	return n
+	return s.tiers.drop(tierKey) + s.gammas.drop(tierKey) + s.strategies.drop(tierKey)
 }
 
-// curEpoch returns the store's current build epoch. Builds snapshot it
-// when they start (storeView); puts carrying an older epoch are
-// dropped.
-func (s *CurveStore) curEpoch() uint64 {
+// snapshot copies the store's records into a serializable storeFile
+// under the read lock, along with the invalidation history. The maps
+// are fresh, so a caller (SaveFile's merge) may add to them without
+// touching the live store; the records are shared, which is safe because
+// stored records are never mutated in place.
+func (s *CurveStore) snapshot() (storeFile, []string) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-// leaf / putLeaf access one member network's characterization. Every
-// put carries the writing build's epoch snapshot and reports whether
-// the record was stored (false: the build is stale — an Invalidate
-// happened after it started).
-func (s *CurveStore) leaf(key string) (storedLeaf, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.leaves[key]
-	return v, ok
-}
-
-func (s *CurveStore) putLeaf(epoch uint64, key string, v storedLeaf) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch != s.epoch {
-		return false
-	}
-	s.leaves[key] = v
-	return true
-}
-
-// headroomFor / putHeadroom access one (profile, size) headroom probe.
-func (s *CurveStore) headroomFor(key string) ([]float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.headroom[key]
-	return v, ok
-}
-
-func (s *CurveStore) putHeadroom(epoch uint64, key string, rates []float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch != s.epoch {
-		return false
-	}
-	s.headroom[key] = append([]float64(nil), rates...)
-	return true
-}
-
-// tier / putTier access one tier's measured WAN transfer curve.
-func (s *CurveStore) tier(key string) (storedTier, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.tiers[key]
-	return v, ok
-}
-
-func (s *CurveStore) putTier(epoch uint64, key string, v storedTier) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch != s.epoch {
-		return false
-	}
-	s.tiers[key] = v
-	return true
-}
-
-// gamma / putGamma access one tier's fitted γ_wan curve.
-func (s *CurveStore) gamma(key string) (model.FactorCurve, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.gammas[key]
-	return v, ok
-}
-
-func (s *CurveStore) putGamma(epoch uint64, key string, c model.FactorCurve) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch != s.epoch {
-		return false
-	}
-	s.gammas[key] = c
-	return true
-}
-
-// strategy / putStrategy access one whole-topology ω/κ fit ("S|" keys)
-// or post-selection refit ("R|" keys).
-func (s *CurveStore) strategy(key string) (storedStrategy, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.strategies[key]
-	return v, ok
-}
-
-func (s *CurveStore) putStrategy(epoch uint64, key string, v storedStrategy) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch != s.epoch {
-		return false
-	}
-	s.strategies[key] = v
-	return true
+	return storeFile{
+		Version:    StoreVersion,
+		Options:    s.optKey,
+		Leaves:     maps.Clone(s.leaves.m),
+		Headroom:   maps.Clone(s.headroom.m),
+		Tiers:      maps.Clone(s.tiers.m),
+		Gammas:     maps.Clone(s.gammas.m),
+		Strategies: maps.Clone(s.strategies.m),
+	}, slices.Clone(s.invalidated)
 }
 
 // WriteJSON serializes the store. The output is deterministic — map
@@ -302,103 +316,13 @@ func (s *CurveStore) putStrategy(epoch uint64, key string, v storedStrategy) boo
 // holding the same fits serialize byte-identically, and re-saving a
 // loaded store reproduces the file.
 func (s *CurveStore) WriteJSON(w io.Writer) error {
-	s.mu.RLock()
-	f := storeFile{
-		Version:    StoreVersion,
-		Options:    s.optKey,
-		Leaves:     s.leaves,
-		Headroom:   s.headroom,
-		Tiers:      s.tiers,
-		Gammas:     s.gammas,
-		Strategies: s.strategies,
-	}
-	b, err := json.MarshalIndent(f, "", " ")
-	s.mu.RUnlock()
+	f, _ := s.snapshot()
+	b, err := f.encode()
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// snapshot copies the store's records into a serializable storeFile
-// under the read lock, along with the invalidation history. The maps
-// are fresh, so a caller (SaveFile's merge) may mutate them without
-// touching the live store.
-func (s *CurveStore) snapshot() (storeFile, []string) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f := storeFile{
-		Version:    StoreVersion,
-		Options:    s.optKey,
-		Leaves:     make(map[string]storedLeaf, len(s.leaves)),
-		Headroom:   make(map[string][]float64, len(s.headroom)),
-		Tiers:      make(map[string]storedTier, len(s.tiers)),
-		Gammas:     make(map[string]model.FactorCurve, len(s.gammas)),
-		Strategies: make(map[string]storedStrategy, len(s.strategies)),
-	}
-	for k, v := range s.leaves {
-		f.Leaves[k] = v
-	}
-	for k, v := range s.headroom {
-		f.Headroom[k] = v
-	}
-	for k, v := range s.tiers {
-		f.Tiers[k] = v
-	}
-	for k, v := range s.gammas {
-		f.Gammas[k] = v
-	}
-	for k, v := range s.strategies {
-		f.Strategies[k] = v
-	}
-	return f, append([]string(nil), s.invalidated...)
-}
-
-// mergeDisk folds an existing on-disk snapshot under an in-memory one:
-// disk records absent from memory are kept (so concurrent processes
-// characterizing different topologies against one file compose instead
-// of clobbering each other), memory wins every conflict, and disk
-// records whose key contains a tier key this store has Invalidated are
-// dropped — a deliberate refit must not resurrect stale fits from an
-// older save. Merging only makes sense within one probe configuration;
-// the caller checks the Options fingerprints match first.
-func mergeDisk(mem storeFile, disk storeFile, invalidated []string) storeFile {
-	dropped := func(key string) bool {
-		for _, tk := range invalidated {
-			if strings.Contains(key, tk) {
-				return true
-			}
-		}
-		return false
-	}
-	for k, v := range disk.Leaves {
-		if _, ok := mem.Leaves[k]; !ok {
-			mem.Leaves[k] = v
-		}
-	}
-	for k, v := range disk.Headroom {
-		if _, ok := mem.Headroom[k]; !ok {
-			mem.Headroom[k] = v
-		}
-	}
-	for k, v := range disk.Tiers {
-		if _, ok := mem.Tiers[k]; !ok && !dropped(k) {
-			mem.Tiers[k] = v
-		}
-	}
-	for k, v := range disk.Gammas {
-		if _, ok := mem.Gammas[k]; !ok && !dropped(k) {
-			mem.Gammas[k] = v
-		}
-	}
-	for k, v := range disk.Strategies {
-		if _, ok := mem.Strategies[k]; !ok && !dropped(k) {
-			mem.Strategies[k] = v
-		}
-	}
-	return mem
 }
 
 // SaveFile atomically writes the store to path: the JSON form goes to a
@@ -407,25 +331,29 @@ func mergeDisk(mem storeFile, disk storeFile, invalidated []string) storeFile {
 // the old complete file or the new complete file — never a torn one.
 //
 // When path already holds a loadable store fitted under the same
-// Options fingerprint, the save merges rather than overwrites: on-disk
-// records this store lacks survive (minus any whose key contains a tier
-// key passed to Invalidate since the store was created), records
-// present in both take the in-memory value, and the in-memory store
-// itself is never mutated. A missing, corrupt, or differently-
-// fingerprinted file is replaced wholesale, exactly as before.
+// Options fingerprint, the save merges rather than overwrites, so
+// concurrent processes characterizing different topologies against one
+// file compose instead of clobbering each other: on-disk records this
+// store lacks survive (minus any whose key contains a tier key passed to
+// Invalidate since the store was created — a deliberate refit must not
+// resurrect stale fits from an older save), records present in both take
+// the in-memory value, and the in-memory store itself is never mutated.
+// A missing, corrupt, or differently-fingerprinted file is replaced
+// wholesale.
 func (s *CurveStore) SaveFile(path string) error {
 	mem, invalidated := s.snapshot()
-	if old, err := LoadCurveStoreFile(path); err == nil {
-		disk, _ := old.snapshot()
-		if disk.Options == mem.Options {
-			mem = mergeDisk(mem, disk, invalidated)
-		}
+	if disk, err := LoadCurveStoreFile(path); err == nil && disk.optKey == mem.Options {
+		// Member-network fits are never invalidated (see Invalidate).
+		mergeDisk(mem.Leaves, disk.leaves, nil)
+		mergeDisk(mem.Headroom, disk.headroom, nil)
+		mergeDisk(mem.Tiers, disk.tiers, invalidated)
+		mergeDisk(mem.Gammas, disk.gammas, invalidated)
+		mergeDisk(mem.Strategies, disk.strategies, invalidated)
 	}
-	b, err := json.MarshalIndent(mem, "", " ")
+	b, err := mem.encode()
 	if err != nil {
 		return fmt.Errorf("grid: saving store to %s: %w", path, err)
 	}
-	b = append(b, '\n')
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -493,46 +421,9 @@ func ReadCurveStore(r io.Reader) (*CurveStore, error) {
 	}
 	st := NewCurveStore()
 	st.optKey = f.Options
-	for k, v := range f.Leaves {
-		if err := v.Hockney.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store leaf %q: %w", k, err)
-		}
-		if err := v.Signature.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store leaf %q: %w", k, err)
-		}
-		st.leaves[k] = v
-	}
-	for k, rates := range f.Headroom {
-		for i, r := range rates {
-			if r < 0 || !finiteF64(r) {
-				return nil, fmt.Errorf("grid: store headroom %q entry %d is unusable: %v", k, i, r)
-			}
-		}
-		st.headroom[k] = rates
-	}
-	for k, v := range f.Tiers {
-		// Re-validate through WANModel so tier records obey the same
-		// interpolation invariants the planner's own fits do.
-		wm := model.WANModel{Curve: v.Curve, BetaWire: v.BetaWire}
-		if err := wm.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store tier %q: %w", k, err)
-		}
-		st.tiers[k] = v
-	}
-	for k, c := range f.Gammas {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store gamma %q: %w", k, err)
-		}
-		st.gammas[k] = c
-	}
-	for k, v := range f.Strategies {
-		if err := v.Omega.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store strategy %q omega: %w", k, err)
-		}
-		if err := v.Kappa.Validate(); err != nil {
-			return nil, fmt.Errorf("grid: store strategy %q kappa: %w", k, err)
-		}
-		st.strategies[k] = v
+	if err := errors.Join(st.leaves.load(f.Leaves), st.headroom.load(f.Headroom), st.tiers.load(f.Tiers),
+		st.gammas.load(f.Gammas), st.strategies.load(f.Strategies)); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -544,18 +435,38 @@ func ReadCurveStore(r io.Reader) (*CurveStore, error) {
 // value the topology was built from, e.g. topo.Children[0].
 func TierKey(t cluster.TopoNode) string { return topoKey(t) }
 
-// finiteF64 reports whether v is a usable stored value.
-func finiteF64(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// recordKind is one of the seven things a planner characterizes. Kinds
+// that share a curve shape share a table (refit with strategy, kind with
+// gamma — told apart by key prefix) but trace under their own name, so a
+// warm collective-suite build is distinguishable from a warm tier fit.
+type recordKind[V any] struct {
+	// name is the "kind" attribute of store.hit/store.miss events.
+	name string
+	// memo reports that a build looks the same key up repeatedly (members
+	// sharing a profile, isomorphic tiers, every prediction of a kind)
+	// and must fit, and count the store lookup, only the first time.
+	memo  bool
+	table func(*CurveStore) *table[V]
+}
 
-// storeView is one planner build's window onto an optional CurveStore:
-// nil-tolerant lookups that count and trace store.hit/store.miss per
-// record kind, so planner.probes keeps working as the cache-regression
-// signal and a trace shows exactly which characterizations were reused.
-// Without a store (st nil) every lookup is an inert miss that records
-// nothing — the plain NewPlanner path.
+var (
+	recLeaf     = recordKind[storedLeaf]{"leaf", true, func(s *CurveStore) *table[storedLeaf] { return s.leaves }}
+	recHeadroom = recordKind[[]float64]{"headroom", true, func(s *CurveStore) *table[[]float64] { return s.headroom }}
+	recTier     = recordKind[storedTier]{"tier", true, func(s *CurveStore) *table[storedTier] { return s.tiers }}
+	recGamma    = recordKind[model.FactorCurve]{"gamma", true, func(s *CurveStore) *table[model.FactorCurve] { return s.gammas }}
+	recKind     = recordKind[model.FactorCurve]{"kind", true, func(s *CurveStore) *table[model.FactorCurve] { return s.gammas }}
+	recStrategy = recordKind[storedStrategy]{"strategy", false, func(s *CurveStore) *table[storedStrategy] { return s.strategies }}
+	recRefit    = recordKind[storedStrategy]{"refit", false, func(s *CurveStore) *table[storedStrategy] { return s.strategies }}
+)
+
+// storeView is one planner's window onto an optional CurveStore, and
+// the one place characterization decides between reusing and fitting
+// (fetch). It counts and traces store.hit/store.miss per record kind, so
+// planner.probes keeps working as the cache-regression signal and a
+// trace shows exactly which characterizations were reused.
 //
-// The view itself is used by one build at a time (hits/misses are not
-// locked); only the underlying CurveStore is shared between builds.
+// The view is used by one goroutine at a time (memo, hits and misses are
+// not locked); only the underlying CurveStore is shared between builds.
 //
 // The view snapshots the store's build epoch at creation. Puts carry
 // the snapshot and the store drops those from a stale epoch — a build
@@ -563,49 +474,78 @@ func finiteF64(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // but never writes them back. Dropped writes are counted under
 // store.stale_drop.
 type storeView struct {
-	st           *CurveStore
+	st           *CurveStore // nil: the plain NewPlanner path
 	c            *obs.Collector
 	epoch        uint64
 	hits, misses int
+	memo         map[memoKey]any
 }
+
+// memoKey identifies one memoized record: kinds sharing a key (a tier's
+// curve and its γ fit) stay apart.
+type memoKey struct{ kind, key string }
 
 // newStoreView opens one build's window onto st (nil-tolerant),
 // snapshotting the current build epoch.
 func newStoreView(st *CurveStore, c *obs.Collector) *storeView {
-	v := &storeView{st: st, c: c}
+	v := &storeView{st: st, c: c, memo: map[memoKey]any{}}
 	if st != nil {
-		v.epoch = st.curEpoch()
+		st.mu.RLock()
+		v.epoch = st.epoch
+		st.mu.RUnlock()
 	}
 	return v
 }
 
-// noteStale counts one epoch-dropped write-back.
-func (v *storeView) noteStale() {
-	if v.c != nil {
-		v.c.Add(CtrStoreStale, 1)
+// fetch returns the record of the given kind and key, fitting it only
+// when nothing cheaper has it: the view's memo (silent), then the store
+// (one store.hit/store.miss event under sp, and counter), then fit —
+// whose result is memoized and written back, the write dropped and
+// counted under store.stale_drop when the view's epoch is stale. A fit
+// error is returned with nothing memoized or stored. Without a store the
+// middle step vanishes and nothing is traced.
+func fetch[V any](v *storeView, sp *obs.Span, kind recordKind[V], key string, fit func() (V, error)) (V, error) {
+	mk := memoKey{kind.name, key}
+	if rec, ok := v.memo[mk]; ok {
+		return rec.(V), nil
 	}
+	var (
+		tab *table[V]
+		rec V
+		hit bool
+	)
+	if v.st != nil {
+		tab = kind.table(v.st)
+		rec, hit = tab.get(key)
+		v.record(sp, hit, kind.name)
+	}
+	if !hit {
+		var err error
+		if rec, err = fit(); err != nil {
+			return rec, err
+		}
+		if tab != nil && !tab.put(v.epoch, key, rec) {
+			v.c.Add(CtrStoreStale, 1)
+		}
+	}
+	if kind.memo {
+		v.memo[mk] = rec
+	}
+	return rec, nil
 }
 
-// record tallies one lookup and emits its store.hit/store.miss event
-// and counter.
+// record tallies one store lookup and emits its store.hit/store.miss
+// event and counter.
 func (v *storeView) record(sp *obs.Span, hit bool, kind string) {
-	if v == nil || v.st == nil {
-		return
-	}
 	name := CtrStoreMiss
 	if hit {
 		v.hits++
 		name = CtrStoreHit
 	} else {
 		v.misses++
-		name = CtrStoreMiss
 	}
-	if sp != nil {
-		sp.Event(name, obs.Str("kind", kind))
-	}
-	if v.c != nil {
-		v.c.Add(name, 1)
-	}
+	sp.Event(name, obs.Str("kind", kind))
+	v.c.Add(name, 1)
 }
 
 // noteRefit emits the store.refit event and counter when the finished
@@ -613,112 +553,9 @@ func (v *storeView) record(sp *obs.Span, hit bool, kind string) {
 // only what the store lacked (e.g. one invalidated tier) and reused
 // every other cached curve.
 func (v *storeView) noteRefit(sp *obs.Span) {
-	if v == nil || v.st == nil || v.hits == 0 || v.misses == 0 {
+	if v.hits == 0 || v.misses == 0 {
 		return
 	}
-	if sp != nil {
-		sp.Event(CtrStoreRefit, obs.Int("hits", v.hits), obs.Int("misses", v.misses))
-	}
-	if v.c != nil {
-		v.c.Add(CtrStoreRefit, 1)
-	}
-}
-
-func (v *storeView) leaf(sp *obs.Span, key string) (storedLeaf, bool) {
-	if v == nil || v.st == nil {
-		return storedLeaf{}, false
-	}
-	rec, ok := v.st.leaf(key)
-	v.record(sp, ok, "leaf")
-	return rec, ok
-}
-
-func (v *storeView) putLeaf(key string, rec storedLeaf) {
-	if v != nil && v.st != nil && !v.st.putLeaf(v.epoch, key, rec) {
-		v.noteStale()
-	}
-}
-
-func (v *storeView) headroom(sp *obs.Span, key string) ([]float64, bool) {
-	if v == nil || v.st == nil {
-		return nil, false
-	}
-	rates, ok := v.st.headroomFor(key)
-	v.record(sp, ok, "headroom")
-	return rates, ok
-}
-
-func (v *storeView) putHeadroom(key string, rates []float64) {
-	if v != nil && v.st != nil && !v.st.putHeadroom(v.epoch, key, rates) {
-		v.noteStale()
-	}
-}
-
-func (v *storeView) tier(sp *obs.Span, key string) (storedTier, bool) {
-	if v == nil || v.st == nil {
-		return storedTier{}, false
-	}
-	rec, ok := v.st.tier(key)
-	v.record(sp, ok, "tier")
-	return rec, ok
-}
-
-func (v *storeView) putTier(key string, rec storedTier) {
-	if v != nil && v.st != nil && !v.st.putTier(v.epoch, key, rec) {
-		v.noteStale()
-	}
-}
-
-func (v *storeView) gamma(sp *obs.Span, key string) (model.FactorCurve, bool) {
-	if v == nil || v.st == nil {
-		return model.FactorCurve{}, false
-	}
-	c, ok := v.st.gamma(key)
-	v.record(sp, ok, "gamma")
-	return c, ok
-}
-
-func (v *storeView) putGamma(key string, c model.FactorCurve) {
-	if v != nil && v.st != nil && !v.st.putGamma(v.epoch, key, c) {
-		v.noteStale()
-	}
-}
-
-func (v *storeView) strategy(sp *obs.Span, key string) (storedStrategy, bool) {
-	if v == nil || v.st == nil {
-		return storedStrategy{}, false
-	}
-	rec, ok := v.st.strategy(key)
-	kind := "strategy"
-	if strings.HasPrefix(key, "R|") {
-		kind = "refit"
-	}
-	v.record(sp, ok, kind)
-	return rec, ok
-}
-
-func (v *storeView) putStrategy(key string, rec storedStrategy) {
-	if v != nil && v.st != nil && !v.st.putStrategy(v.epoch, key, rec) {
-		v.noteStale()
-	}
-}
-
-// kindCurve / putKindCurve access one per-kind hierarchical correction
-// curve (kinds.go). The records share the gammas map under "K|" keys —
-// the same curve shape, validation, and Invalidate semantics — but
-// trace as their own record kind so a warm collective-suite build is
-// distinguishable from a warm tier fit.
-func (v *storeView) kindCurve(sp *obs.Span, key string) (model.FactorCurve, bool) {
-	if v == nil || v.st == nil {
-		return model.FactorCurve{}, false
-	}
-	c, ok := v.st.gamma(key)
-	v.record(sp, ok, "kind")
-	return c, ok
-}
-
-func (v *storeView) putKindCurve(key string, c model.FactorCurve) {
-	if v != nil && v.st != nil && !v.st.putGamma(v.epoch, key, c) {
-		v.noteStale()
-	}
+	sp.Event(CtrStoreRefit, obs.Int("hits", v.hits), obs.Int("misses", v.misses))
+	v.c.Add(CtrStoreRefit, 1)
 }
