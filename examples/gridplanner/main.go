@@ -206,9 +206,13 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	plan := coll.PlanHierTree(coll.GridSpec(g), coll.HierGather)
+	exchange := coll.Uniform(coll.KindAlltoall, msgSize)
+	plan, err := coll.Compile(coll.GridSpec(g), exchange, coll.HierGather)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\n%s plan on %s: %d ranks, %d phases, %d messages (%d cross-cluster)\n",
-		plan.Alg, threeLvl.Name, plan.Place.NumRanks(), plan.NumPhases(),
+		plan.Alg, threeLvl.Name, plan.Tree.NumRanks(), plan.NumPhases(),
 		plan.NumMessages(), plan.CrossLeafMessages())
 	// once measures one hier-gather repetition of w (after one warm-up)
 	// at seed 1; sr carries the plan spec and tracing of each call.
@@ -220,7 +224,6 @@ func main() {
 		}
 		return res
 	}
-	exchange := coll.Uniform(coll.KindAlltoall, msgSize)
 	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize,
 		once(threeLvl, exchange, grid.SimRun{}).T)
 
@@ -228,13 +231,16 @@ func main() {
 	// plan: the spec carries the chosen coordinator sets, and the wide
 	// leaf's gather/scatter splits across both chosen ports.
 	wideSpec := widePlanner.PlanSpec()
-	selPlan := coll.PlanHierTree(wideSpec, coll.HierGather)
+	selPlan, err := coll.Compile(wideSpec, exchange, coll.HierGather)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\n%s plan on %s with selected coordinators", selPlan.Alg, wide.Name)
 	for l := 0; l < selPlan.Tree.NumLeaves(); l++ {
 		fmt.Printf(" leaf%d=%v", l, selPlan.Tree.Coordinators(l))
 	}
 	fmt.Printf(": %d ranks, %d phases, %d messages (%d cross-cluster)\n",
-		selPlan.Place.NumRanks(), selPlan.NumPhases(),
+		selPlan.Tree.NumRanks(), selPlan.NumPhases(),
 		selPlan.NumMessages(), selPlan.CrossLeafMessages())
 	fmt.Printf("one simulated exchange at %d B per pair: %.2fs\n", msgSize,
 		once(wide.Tree(), exchange, grid.SimRun{Spec: &wideSpec}).T)

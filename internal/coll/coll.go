@@ -79,43 +79,71 @@ func (a Algorithm) Effective(n int) Algorithm {
 // actually executed, which differs from alg only for Pairwise on
 // non-power-of-two rank counts (Direct fallback).
 func Alltoall(r *mpi.Rank, m int, alg Algorithm) Algorithm {
+	return alltoall(r, Uniform(KindAlltoall, m), alg)
+}
+
+// alltoall runs one total exchange of an All-to-All(v) workload and
+// returns the algorithm actually executed. Direct and PostAll take
+// per-pair sizes naturally (a pair that owes no bytes exchanges no
+// message and pays no start-up); Bruck's store-and-forward rounds and
+// Pairwise's XOR pattern assume uniform blocks, so an irregular
+// exchange asking for them runs Direct.
+func alltoall(r *mpi.Rank, w Workload, alg Algorithm) Algorithm {
 	eff := alg.Effective(r.Size())
+	if w.Kind == KindAlltoallv && eff != PostAll {
+		eff = Direct
+	}
 	switch eff {
 	case Direct:
-		alltoallDirect(r, m)
+		alltoallDirect(r, w)
 	case PostAll:
-		alltoallPostAll(r, m)
+		alltoallPostAll(r, w)
 	case Bruck:
-		alltoallBruck(r, m)
+		alltoallBruck(r, w.M)
 	case Pairwise:
-		alltoallPairwise(r, m)
+		alltoallPairwise(r, w.M)
 	default:
 		panic("coll: unknown algorithm")
 	}
 	return eff
 }
 
-// alltoallDirect is Algorithm 1 of the paper.
-func alltoallDirect(r *mpi.Rank, m int) {
-	n := r.Size()
+// alltoallDirect is Algorithm 1 of the paper: n−1 rotation rounds, each
+// waiting for its own receive and send. Both sides size a pair through
+// the same rule, so a skipped direction is skipped on both ends.
+func alltoallDirect(r *mpi.Rank, w Workload) {
+	n, me := r.Size(), r.ID()
 	for t := 1; t < n; t++ {
-		dst := (r.ID() + t) % n
-		src := (r.ID() - t + n) % n
-		r.Sendrecv(dst, tagAlltoall+int32(t), m, src, tagAlltoall+int32(t))
+		dst, src := (me+t)%n, (me-t+n)%n
+		tag := tagAlltoall + int32(t)
+		var qs [2]*mpi.Request
+		k := 0
+		if _, ok := w.msgBytes(Block{Src: src, Dst: me}); ok {
+			qs[k], k = r.Irecv(src, tag), k+1
+		}
+		if b, ok := w.msgBytes(Block{Src: me, Dst: dst}); ok {
+			qs[k], k = r.Isend(dst, tag, b), k+1
+		}
+		r.WaitAll(qs[:k]...)
 	}
 }
 
-// alltoallPostAll posts everything nonblocking and waits once.
-func alltoallPostAll(r *mpi.Rank, m int) {
-	n := r.Size()
+// alltoallPostAll posts every receive and send at once and waits for
+// all of them.
+func alltoallPostAll(r *mpi.Rank, w Workload) {
+	n, me := r.Size(), r.ID()
 	qs := make([]*mpi.Request, 0, 2*(n-1))
 	for t := 1; t < n; t++ {
-		src := (r.ID() - t + n) % n
-		qs = append(qs, r.Irecv(src, tagAlltoall+int32(t)))
+		src := (me - t + n) % n
+		if _, ok := w.msgBytes(Block{Src: src, Dst: me}); ok {
+			qs = append(qs, r.Irecv(src, tagAlltoall+int32(t)))
+		}
 	}
 	for t := 1; t < n; t++ {
-		dst := (r.ID() + t) % n
-		qs = append(qs, r.Isend(dst, tagAlltoall+int32(t), m))
+		dst := (me + t) % n
+		if b, ok := w.msgBytes(Block{Src: me, Dst: dst}); ok {
+			qs = append(qs, r.Isend(dst, tagAlltoall+int32(t), b))
+		}
 	}
 	r.WaitAll(qs...)
 }

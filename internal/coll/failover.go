@@ -41,14 +41,15 @@ import (
 // that no block was delivered twice. Blocks whose source or destination
 // died are waived — the collective's semantics cannot be preserved for
 // them. The obligations verified are the plan's Universe, so the same
-// protocol covers every kind PlanKindTree compiles: All-to-All's full
-// pair matrix, Allgather's forwarded contributions, a rooted relay's
-// (src→root) and (root→dst) legs.
+// protocol covers every uniform kind Compile compiles: All-to-All's
+// full pair matrix, Allgather's forwarded contributions, a rooted
+// relay's (src→root) and (root→dst) legs.
 //
-// With no faults the executor posts exactly the operation sequence of
-// RunPlan — same order, same tags, same sizes — so an empty
-// fault schedule is behaviorally identical to the plain executor (the
-// timed waits arm extra timers, but those fire as no-ops).
+// Every epoch posts through the plan's own posting loop (HierPlan.post),
+// so with no faults the operation sequence is RunPlan's — same order,
+// same tags, same sizes — and an empty fault schedule is behaviorally
+// identical to the plain executor (the timed waits arm extra timers,
+// but those fire as no-ops).
 
 // epochTagStride separates consecutive epochs in tag space. Plan tags
 // start at tagHier (6000) and grow by small per-pair counts, and the
@@ -113,25 +114,34 @@ type FailoverResult struct {
 	FinishAt []sim.Time
 }
 
-// reqInfo tracks one outstanding plan operation of the current phase so
+// posted is one rank's outstanding phase: the requests HierPlan.post
+// returned for phase ph of epoch st's plan (receives first), kept so
 // the epoch transition can snapshot completions and cancel leftovers.
-type reqInfo struct {
-	q      *mpi.Request
-	peer   int
-	msgIdx int
-	isRecv bool
-	st     *epochState
+type posted struct {
+	st *epochState
+	ph hierPhase
+	qs []*mpi.Request
 }
 
-// epochState is the shared per-epoch execution state. The plan and its
-// filtered block lists are compiled by the last rank to join the epoch;
-// the two futures are the epoch's barriers.
+// msg returns the plan message behind request k and the rank at its
+// other end.
+func (po posted) msg(k int) (m *hierMsg, peer int) {
+	if k < len(po.ph.recvs) {
+		m = po.st.plan.msgs[po.ph.recvs[k]]
+		return m, m.from
+	}
+	m = po.st.plan.msgs[po.ph.sends[k-len(po.ph.recvs)]]
+	return m, m.to
+}
+
+// epochState is the shared per-epoch execution state. Epoch 0 runs the
+// base plan; a recovery epoch's plan — compiled by the last rank to
+// join, over the blocks still owed — carries tags shifted by tagOff. The
+// two futures are the epoch's barriers.
 type epochState struct {
-	idx     int
-	plan    *HierPlan
-	carried [][]Block // per message: blocks actually carried this epoch
-	bytes   []int     // per message: payload bytes (0 ⇒ op skipped)
-	tagOff  int32
+	idx    int
+	plan   *HierPlan
+	tagOff int32
 	// joinGate completes when every live rank has joined the epoch and
 	// the plan is compiled; gate completes when every live rank has
 	// finished the epoch's phases (global done) or the epoch advanced.
@@ -148,7 +158,6 @@ type epochState struct {
 // process discipline.
 type FailoverRun struct {
 	base *HierPlan
-	m    int
 	cfg  FailoverConfig
 	s    *sim.Simulator
 
@@ -158,7 +167,7 @@ type FailoverRun struct {
 	delivered map[Block]bool
 	universe  []Block // the base plan's delivery obligations
 	epochs    []*epochState
-	reqs      [][]reqInfo // per rank: outstanding current-phase requests
+	reqs      []posted // per rank: the outstanding current phase
 	done      bool
 	failed    bool
 	finishAt  []sim.Time
@@ -167,36 +176,27 @@ type FailoverRun struct {
 }
 
 // NewFailoverRun prepares a failover execution of a compiled uniform
-// plan of any kind with per-rank payload m. Size-bound plans
-// (PlanHierTreeV) are not supported: recovery replanning assumes the
-// uniform block model.
-func NewFailoverRun(plan *HierPlan, m int, cfg FailoverConfig) *FailoverRun {
-	if plan.vbytes != nil {
+// plan of any kind with a positive per-rank payload. All-to-Allv plans
+// are not supported: a recovery epoch re-sizes the surviving blocks of
+// each message, which assumes the uniform block model.
+func NewFailoverRun(plan *HierPlan, cfg FailoverConfig) *FailoverRun {
+	if plan.Workload.Kind == KindAlltoallv {
 		panic("coll: failover supports uniform plans only")
 	}
-	if m <= 0 {
-		panic(fmt.Sprintf("coll: failover block size %d must be positive", m))
+	if plan.Workload.M <= 0 {
+		panic(fmt.Sprintf("coll: failover block size %d must be positive", plan.Workload.M))
 	}
 	n := plan.Tree.NumRanks()
-	fr := &FailoverRun{
+	return &FailoverRun{
 		base:      plan,
-		m:         m,
 		cfg:       cfg.withDefaults(),
 		dead:      make(map[int]bool),
 		delivered: make(map[Block]bool),
 		universe:  plan.Universe(),
-		reqs:      make([][]reqInfo, n),
+		epochs:    []*epochState{{idx: 0, plan: plan}},
+		reqs:      make([]posted, n),
 		finishAt:  make([]sim.Time, n),
 	}
-	st := &epochState{idx: 0, plan: plan}
-	st.carried = make([][]Block, len(plan.msgs))
-	st.bytes = make([]int, len(plan.msgs))
-	for i, msg := range plan.msgs {
-		st.carried[i] = msg.blocks
-		st.bytes[i] = plan.msgBytesAt(i, m)
-	}
-	fr.epochs = []*epochState{st}
-	return fr
 }
 
 // SetTrace records epoch-0 phase boundaries into pt (built for the base
@@ -248,35 +248,19 @@ func (fr *FailoverRun) Run(r *mpi.Rank) {
 func (fr *FailoverRun) runPhases(r *mpi.Rank, st *epochState) bool {
 	me := r.ID()
 	for pi, ph := range st.plan.perRank[me] {
-		infos := make([]reqInfo, 0, len(ph.recvs)+len(ph.sends))
 		start := r.Now()
-		for _, rv := range ph.recvs {
-			if st.bytes[rv.msgIdx] == 0 {
-				continue
-			}
-			q := r.Irecv(rv.peer, rv.tag+st.tagOff)
-			infos = append(infos, reqInfo{q: q, peer: rv.peer, msgIdx: rv.msgIdx, isRecv: true, st: st})
-		}
-		for _, sd := range ph.sends {
-			if st.bytes[sd.msgIdx] == 0 {
-				continue
-			}
-			q := r.Isend(sd.peer, sd.tag+st.tagOff, st.bytes[sd.msgIdx])
-			infos = append(infos, reqInfo{q: q, peer: sd.peer, msgIdx: sd.msgIdx, st: st})
-		}
-		if len(infos) == 0 {
+		po := posted{st: st, ph: ph, qs: st.plan.post(r, ph, st.tagOff)}
+		if len(po.qs) == 0 {
 			continue
 		}
-		fr.reqs[me] = infos
+		fr.reqs[me] = po
 		if !fr.waitPhase(r, st) {
 			return false
 		}
-		for _, ri := range infos {
-			if ri.isRecv {
-				fr.markDelivered(me, ri)
-			}
+		for k := range ph.recvs {
+			fr.markDelivered(me, po, k)
 		}
-		fr.reqs[me] = nil
+		fr.reqs[me] = posted{}
 		if fr.trace != nil && st.idx == 0 {
 			fr.trace.record(pi, me, start, r.Now())
 		}
@@ -296,10 +280,11 @@ func (fr *FailoverRun) waitPhase(r *mpi.Rank, st *epochState) bool {
 	me := r.ID()
 	spurious := 0
 	for {
-		qs := make([]*mpi.Request, 0, len(fr.reqs[me]))
-		for _, ri := range fr.reqs[me] {
-			if !ri.q.Done() {
-				qs = append(qs, ri.q)
+		po := fr.reqs[me]
+		qs := make([]*mpi.Request, 0, len(po.qs))
+		for _, q := range po.qs {
+			if !q.Done() {
+				qs = append(qs, q)
 			}
 		}
 		if len(qs) == 0 {
@@ -317,10 +302,11 @@ func (fr *FailoverRun) waitPhase(r *mpi.Rank, st *epochState) bool {
 		var newDead []int
 		if fr.cfg.IsDead != nil {
 			seen := make(map[int]bool)
-			for _, ri := range fr.reqs[me] {
-				if !ri.q.Done() && !fr.dead[ri.peer] && !seen[ri.peer] && fr.cfg.IsDead(ri.peer) {
-					seen[ri.peer] = true
-					newDead = append(newDead, ri.peer)
+			for k, q := range po.qs {
+				_, peer := po.msg(k)
+				if !q.Done() && !fr.dead[peer] && !seen[peer] && fr.cfg.IsDead(peer) {
+					seen[peer] = true
+					newDead = append(newDead, peer)
 				}
 			}
 			// A rank whose own node died still runs as a coroutine; its
@@ -402,16 +388,15 @@ func (fr *FailoverRun) declare(r *mpi.Rank, st *epochState, ranks []int) {
 // join no rank executes phases, so the dead set is stable here.
 func (fr *FailoverRun) join(r *mpi.Rank) {
 	me := r.ID()
-	for _, ri := range fr.reqs[me] {
-		if ri.q.Done() {
-			if ri.isRecv {
-				fr.markDelivered(me, ri)
-			}
-		} else if ri.isRecv {
-			r.CancelRecv(ri.q)
+	po := fr.reqs[me]
+	for k, q := range po.qs[:len(po.ph.recvs)] {
+		if q.Done() {
+			fr.markDelivered(me, po, k)
+		} else {
+			r.CancelRecv(q)
 		}
 	}
-	fr.reqs[me] = nil
+	fr.reqs[me] = posted{}
 	st := fr.epochs[fr.epoch]
 	st.joined++
 	if st.joined >= fr.liveCount() {
@@ -422,11 +407,12 @@ func (fr *FailoverRun) join(r *mpi.Rank) {
 	}
 }
 
-// markDelivered records the blocks of a completed receive that
+// markDelivered records the blocks of po's completed receive k that
 // terminate at rank me. Relay hops do not count: exactly-once is an
 // application-level property of a block reaching its destination.
-func (fr *FailoverRun) markDelivered(me int, ri reqInfo) {
-	for _, b := range ri.st.carried[ri.msgIdx] {
+func (fr *FailoverRun) markDelivered(me int, po posted, k int) {
+	m, _ := po.msg(k)
+	for _, b := range m.blocks {
 		if b.Dst != me {
 			continue
 		}
@@ -438,32 +424,29 @@ func (fr *FailoverRun) markDelivered(me int, ri reqInfo) {
 	}
 }
 
-// compileRecovery builds the epoch's plan: the base topology with dead
-// coordinators replaced, carrying only live, undelivered blocks. Tags
-// are offset per epoch so recovery messages can never match a stale
-// posting from an earlier epoch.
+// compileRecovery builds the epoch's plan: the base workload over the
+// base topology with dead coordinators replaced, carrying only live,
+// undelivered blocks — each message re-sized over what it still carries
+// by the same payload rule, and gone when nothing is left. Tags are
+// offset per epoch so recovery messages can never match a stale posting
+// from an earlier epoch.
 func (fr *FailoverRun) compileRecovery(st *epochState) {
-	plan := PlanKindTree(fr.recoverySpec(), fr.base.Kind, fr.base.Alg)
+	plan, err := compile(fr.recoverySpec(), fr.base.Workload, fr.base.Alg, func(b Block) bool {
+		return !fr.dead[b.Src] && !fr.dead[b.Dst] && !fr.delivered[b]
+	})
+	if err != nil {
+		// The spec is the validated base tree with coordinators swapped
+		// for members of the same subtrees.
+		panic("coll: recovery plan: " + err.Error())
+	}
 	st.plan = plan
 	st.tagOff = int32(st.idx) * epochTagStride
-	st.carried = make([][]Block, len(plan.msgs))
-	st.bytes = make([]int, len(plan.msgs))
-	for i, msg := range plan.msgs {
-		for _, b := range msg.blocks {
-			if fr.dead[b.Src] || fr.dead[b.Dst] || fr.delivered[b] {
-				continue
-			}
-			st.carried[i] = append(st.carried[i], b)
-		}
-		st.bytes[i] = KindMsgBytes(fr.base.Kind, st.carried[i], fr.m)
-	}
 }
 
 // recoverySpec rebuilds the base plan's topology spec with every dead
 // coordinator replaced by a live one. Dead ranks stay in the tree —
 // placements require dense ranks — but carry no traffic: every block
-// touching them is waived, so every operation involving them sizes to
-// zero and is skipped by both sides.
+// touching them is waived, so no message involving them exists.
 func (fr *FailoverRun) recoverySpec() TreeSpec {
 	var walk func(v *pnode) TreeSpec
 	walk = func(v *pnode) TreeSpec {
@@ -525,15 +508,9 @@ func (fr *FailoverRun) liveCoords(v *pnode) []int {
 // the lowest live unchosen rank of v, else -1.
 func (fr *FailoverRun) replacementFor(c int, v *pnode, used map[int]bool) int {
 	tp := fr.base.Tree
-	inV := make(map[int]bool, len(v.ranks))
-	for _, rk := range v.ranks {
-		inV[rk] = true
-	}
-	if li := tp.leafOf[c]; li >= 0 {
-		for _, sb := range tp.leaves[li].standbys {
-			if !fr.dead[sb] && !used[sb] && inV[sb] {
-				return sb
-			}
+	for _, sb := range tp.leaves[tp.leafOf[c]].standbys {
+		if !fr.dead[sb] && !used[sb] && v.has(sb) {
+			return sb
 		}
 	}
 	for _, rk := range v.ranks {

@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -30,52 +29,13 @@ func failoverGrid(t *testing.T, nodesPer int, seed int64) (*cluster.Grid, TreeSp
 	return g, spec
 }
 
-// TestFailoverNoFaultsMatchesPlain: with an empty fault schedule the
-// failover executor must be behaviorally identical to the plain planned
-// executor — same phase trace to the nanosecond — because it posts the
-// same operations in the same order and its extra timeout timers fire
-// as no-ops.
-func TestFailoverNoFaultsMatchesPlain(t *testing.T) {
-	for _, alg := range HierAlgorithms {
-		gA, specA := failoverGrid(t, 3, 7)
-		planA := PlanHierTree(specA, alg)
-		ptA := NewPhaseTrace(planA)
-		wA := mpi.NewWorld(gA.Env, mpi.Config{})
-		wA.Run(func(r *mpi.Rank) { RunPlan(r, planA, 20_000, ptA) })
-
-		gB, specB := failoverGrid(t, 3, 7)
-		planB := PlanHierTree(specB, alg)
-		ptB := NewPhaseTrace(planB)
-		fr := NewFailoverRun(planB, 20_000, FailoverConfig{Timeout: 500 * sim.Millisecond})
-		fr.SetTrace(ptB)
-		wB := mpi.NewWorld(gB.Env, mpi.Config{})
-		wB.Run(func(r *mpi.Rank) { fr.Run(r) })
-
-		if !reflect.DeepEqual(ptA.Spans(), ptB.Spans()) {
-			t.Fatalf("%v: failover trace diverges from plain executor:\nplain:    %+v\nfailover: %+v",
-				alg, ptA.Spans(), ptB.Spans())
-		}
-		res := fr.Result()
-		if res.Epochs != 1 || len(res.Dead) != 0 || res.Incomplete {
-			t.Fatalf("%v: no-fault run reports %+v", alg, res)
-		}
-		n := planB.Tree.NumRanks()
-		if res.DeliveredBlocks != n*(n-1) {
-			t.Fatalf("%v: delivered %d blocks, want %d", alg, res.DeliveredBlocks, n*(n-1))
-		}
-		if err := fr.Verify(); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-	}
-}
-
 // TestFailoverCoordinatorLoss kills cluster 0's coordinator mid-run and
 // checks the run completes by failing over to the first standby, with
 // exactly-once delivery among survivors and the dead rank's blocks
 // waived.
 func TestFailoverCoordinatorLoss(t *testing.T) {
 	g, spec := failoverGrid(t, 3, 11)
-	plan := PlanHierTree(spec, HierGather)
+	plan := alltoallPlan(t, spec, 20_000, HierGather)
 	n := plan.Tree.NumRanks()
 
 	fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{
@@ -85,7 +45,7 @@ func TestFailoverCoordinatorLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := make(map[int]int)
-	fr := NewFailoverRun(plan, 20_000, FailoverConfig{
+	fr := NewFailoverRun(plan, FailoverConfig{
 		Timeout: 200 * sim.Millisecond,
 		IsDead:  func(rank int) bool { return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now()) },
 		Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
@@ -137,7 +97,7 @@ func TestFailoverCoordinatorLoss(t *testing.T) {
 // coordinator set is untouched while its blocks are waived.
 func TestFailoverNonCoordinatorLoss(t *testing.T) {
 	g, spec := failoverGrid(t, 3, 13)
-	plan := PlanHierTree(spec, HierGather)
+	plan := alltoallPlan(t, spec, 20_000, HierGather)
 
 	victim := 4 // member of cluster 1, not its coordinator (rank 3)
 	fs := netsim.FaultSchedule{Nodes: []netsim.NodeFault{
@@ -146,7 +106,7 @@ func TestFailoverNonCoordinatorLoss(t *testing.T) {
 	if err := g.Env.Net.ApplyFaults(fs); err != nil {
 		t.Fatal(err)
 	}
-	fr := NewFailoverRun(plan, 20_000, FailoverConfig{
+	fr := NewFailoverRun(plan, FailoverConfig{
 		Timeout: 200 * sim.Millisecond,
 		IsDead:  func(rank int) bool { return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now()) },
 		Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
@@ -188,7 +148,7 @@ func TestFailoverExactlyOnceProperty(t *testing.T) {
 			spec.Children[i].Coords = []int{rk[0]}
 			spec.Children[i].Standbys = append([]int(nil), rk[1:]...)
 		}
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 20_000, alg)
 		n := plan.Tree.NumRanks()
 		victim := int(victim8) % n
 		at := sim.Time(at16%120) * sim.Millisecond // 0..119ms, spanning the whole run
@@ -198,7 +158,7 @@ func TestFailoverExactlyOnceProperty(t *testing.T) {
 		if err := g.Env.Net.ApplyFaults(fs); err != nil {
 			return false
 		}
-		fr := NewFailoverRun(plan, 20_000, FailoverConfig{
+		fr := NewFailoverRun(plan, FailoverConfig{
 			Timeout: 150 * sim.Millisecond,
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },

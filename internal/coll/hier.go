@@ -1,7 +1,9 @@
 package coll
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -21,8 +23,7 @@ import (
 // ranks, a group is a set of subtrees joined by a WAN tier. A two-level
 // grid is the depth-1 tree; the paper's single cluster is the depth-0
 // tree; campus → national → continental deployments are depth-2 and
-// beyond. One recursive plan builder covers every depth — the flat
-// Placement API below compiles through the same path.
+// beyond. One recursive plan builder covers every depth.
 //
 // Coordinators are a planned decision, not a convention. By default each
 // subtree relays through its lowest rank, but a TreeSpec may name any
@@ -125,16 +126,6 @@ func (t TreeSpec) WithLeafCoords(coords [][]int) TreeSpec {
 	return walk(t)
 }
 
-// FlatSpec builds the depth-1 TreeSpec of a flat rank→cluster map:
-// every cluster becomes a leaf under one root group.
-func FlatSpec(p Placement) TreeSpec {
-	var t TreeSpec
-	for c := 0; c < p.NumClusters(); c++ {
-		t.Children = append(t.Children, TreeSpec{Ranks: p.Members(c)})
-	}
-	return t
-}
-
 // GridSpec mirrors a built grid into the plan builder's topology spec:
 // the tree shape of the topology with each leaf's assigned rank block.
 func GridSpec(g *cluster.Grid) TreeSpec {
@@ -164,10 +155,15 @@ type pnode struct {
 	depth    int   // 0 for the root
 	coords   []int // coordinator set, ownership order; default lowest rank
 	standbys []int // ranked secondary coordinators (failover order)
-	leafIdx  int   // dense leaf index, -1 for groups
 }
 
 func (v *pnode) leaf() bool { return len(v.children) == 0 }
+
+// has reports whether rank r belongs to v's subtree.
+func (v *pnode) has(r int) bool {
+	_, ok := slices.BinarySearch(v.ranks, r)
+	return ok
+}
 
 // targetsOf returns the divergence targets of v in canonical order:
 // walking ancestors bottom-up, the sibling subtrees at each level in
@@ -223,28 +219,24 @@ func deliveredAbove(v, t *pnode, d int) bool {
 	}
 }
 
-// TreePlacement maps ranks onto a compiled topology tree. It is the
-// hierarchical generalization of Placement: leaves are clusters, inner
-// nodes are WAN tiers.
+// TreePlacement maps ranks onto a compiled topology tree: leaves are
+// clusters, inner nodes are WAN tiers.
 type TreePlacement struct {
 	root   *pnode
 	leaves []*pnode
 	leafOf []int // rank → leaf index
 }
 
-// NewTreePlacement validates and compiles a topology spec. It panics on
-// malformed specs (mixed leaf/group nodes, missing or duplicate ranks),
-// like NewPlacement.
-func NewTreePlacement(spec TreeSpec) TreePlacement {
-	tp := TreePlacement{}
-	tp.root = tp.compile(spec, nil, 0)
-	n := 0
-	for _, lf := range tp.leaves {
-		n += len(lf.ranks)
+// newTreePlacement validates and compiles a topology spec; a malformed
+// one is an error naming the offender (see Compile).
+func newTreePlacement(spec TreeSpec) (TreePlacement, error) {
+	var tp TreePlacement
+	root, err := tp.compile(spec, nil, 0)
+	if err != nil {
+		return TreePlacement{}, err
 	}
-	if n == 0 {
-		panic("coll: empty topology tree")
-	}
+	tp.root = root
+	n := len(root.ranks)
 	tp.leafOf = make([]int, n)
 	for i := range tp.leafOf {
 		tp.leafOf[i] = -1
@@ -252,79 +244,60 @@ func NewTreePlacement(spec TreeSpec) TreePlacement {
 	for li, lf := range tp.leaves {
 		for _, r := range lf.ranks {
 			if r < 0 || r >= n {
-				panic(fmt.Sprintf("coll: rank %d outside dense range 0..%d", r, n-1))
+				return TreePlacement{}, fmt.Errorf("coll: rank %d outside dense range 0..%d", r, n-1)
 			}
 			if tp.leafOf[r] != -1 {
-				panic(fmt.Sprintf("coll: rank %d appears in two leaves", r))
+				return TreePlacement{}, fmt.Errorf("coll: rank %d appears twice in the topology", r)
 			}
 			tp.leafOf[r] = li
 		}
 	}
-	return tp
+	return tp, nil
 }
 
 // compile recursively builds pnodes, assigning leaf indices in spec
 // order and computing subtree rank sets, heights and depths.
-func (tp *TreePlacement) compile(spec TreeSpec, parent *pnode, depth int) *pnode {
-	v := &pnode{parent: parent, depth: depth, leafIdx: -1}
+func (tp *TreePlacement) compile(spec TreeSpec, parent *pnode, depth int) (*pnode, error) {
+	v := &pnode{parent: parent, depth: depth}
 	switch {
 	case len(spec.Ranks) > 0 && len(spec.Children) > 0:
-		panic("coll: tree node has both ranks and children")
+		return nil, errors.New("coll: tree node has both ranks and children")
 	case len(spec.Ranks) > 0:
 		v.ranks = append([]int(nil), spec.Ranks...)
-		sort.Ints(v.ranks)
-		for i := 1; i < len(v.ranks); i++ {
-			if v.ranks[i] == v.ranks[i-1] {
-				panic(fmt.Sprintf("coll: rank %d duplicated within a leaf", v.ranks[i]))
-			}
-		}
-		v.leafIdx = len(tp.leaves)
 		tp.leaves = append(tp.leaves, v)
 	case len(spec.Children) > 0:
 		for _, cs := range spec.Children {
-			c := tp.compile(cs, v, depth+1)
+			c, err := tp.compile(cs, v, depth+1)
+			if err != nil {
+				return nil, err
+			}
 			v.children = append(v.children, c)
 			v.ranks = append(v.ranks, c.ranks...)
-			if c.height+1 > v.height {
-				v.height = c.height + 1
-			}
+			v.height = max(v.height, c.height+1)
 		}
-		sort.Ints(v.ranks)
 	default:
-		panic("coll: tree node has neither ranks nor children")
+		return nil, errors.New("coll: tree node has neither ranks nor children")
 	}
+	sort.Ints(v.ranks)
+	v.coords = []int{v.ranks[0]}
 	if len(spec.Coords) > 0 {
-		in := make(map[int]bool, len(v.ranks))
-		for _, r := range v.ranks {
-			in[r] = true
-		}
-		seen := make(map[int]bool, len(spec.Coords))
-		for _, cr := range spec.Coords {
-			if !in[cr] {
-				panic(fmt.Sprintf("coll: coordinator %d is not a rank of its subtree", cr))
-			}
-			if seen[cr] {
-				panic(fmt.Sprintf("coll: coordinator %d named twice", cr))
-			}
-			seen[cr] = true
-		}
 		v.coords = append([]int(nil), spec.Coords...)
-	} else {
-		v.coords = []int{v.ranks[0]}
 	}
-	if len(spec.Standbys) > 0 {
-		in := make(map[int]bool, len(v.ranks))
-		for _, r := range v.ranks {
-			in[r] = true
+	for i, cr := range v.coords {
+		if !v.has(cr) {
+			return nil, fmt.Errorf("coll: coordinator %d is not a rank of its subtree", cr)
 		}
-		for _, sr := range spec.Standbys {
-			if !in[sr] {
-				panic(fmt.Sprintf("coll: standby %d is not a rank of its subtree", sr))
-			}
+		if slices.Contains(v.coords[:i], cr) {
+			return nil, fmt.Errorf("coll: coordinator %d named twice", cr)
 		}
-		v.standbys = append([]int(nil), spec.Standbys...)
 	}
-	return v
+	v.standbys = append([]int(nil), spec.Standbys...)
+	for _, sr := range v.standbys {
+		if !v.has(sr) {
+			return nil, fmt.Errorf("coll: standby %d is not a rank of its subtree", sr)
+		}
+	}
+	return v, nil
 }
 
 // NumRanks returns the total rank count.
@@ -346,136 +319,56 @@ func (tp TreePlacement) Coordinators(l int) []int {
 	return append([]int(nil), tp.leaves[l].coords...)
 }
 
-// Standbys returns leaf l's ranked secondary coordinators (failover
-// order), or nil when the spec named none.
-func (tp TreePlacement) Standbys(l int) []int {
-	return append([]int(nil), tp.leaves[l].standbys...)
-}
-
 // Height returns the root height: 0 for a single cluster, 1 for a
 // two-level grid, 2 for campus → national → continental, and so on.
 func (tp TreePlacement) Height() int { return tp.root.height }
 
-// Placement flattens the tree to leaf granularity: leaf index becomes
-// cluster index. For depth-1 trees this is the inverse of FlatSpec.
-func (tp TreePlacement) Placement() Placement {
-	return NewPlacement(append([]int(nil), tp.leafOf...))
-}
-
-// Placement maps ranks to clusters of a two-level grid. Cluster indices
-// must be dense (0..K-1) with every cluster non-empty; rank→cluster
-// assignment is otherwise arbitrary — members of a cluster need not be
-// contiguous.
-type Placement struct {
-	clusterOf []int
-	members   [][]int
-}
-
-// NewPlacement validates and indexes a rank→cluster map.
-func NewPlacement(clusterOf []int) Placement {
-	if len(clusterOf) == 0 {
-		panic("coll: empty placement")
-	}
-	k := 0
-	for _, c := range clusterOf {
-		if c < 0 {
-			panic("coll: negative cluster index in placement")
-		}
-		if c+1 > k {
-			k = c + 1
-		}
-	}
-	p := Placement{clusterOf: append([]int(nil), clusterOf...), members: make([][]int, k)}
-	for r, c := range clusterOf {
-		p.members[c] = append(p.members[c], r)
-	}
-	for c, m := range p.members {
-		if len(m) == 0 {
-			panic(fmt.Sprintf("coll: placement cluster %d is empty", c))
-		}
-	}
-	return p
-}
-
-// NumRanks returns the total rank count.
-func (p Placement) NumRanks() int { return len(p.clusterOf) }
-
-// NumClusters returns the cluster count.
-func (p Placement) NumClusters() int { return len(p.members) }
-
-// Cluster returns the cluster of rank r.
-func (p Placement) Cluster(r int) int { return p.clusterOf[r] }
-
-// Members returns the ranks of cluster c in ascending order.
-func (p Placement) Members(c int) []int { return p.members[c] }
-
-// Coordinator returns cluster c's coordinator (its lowest rank).
-func (p Placement) Coordinator(c int) int { return p.members[c][0] }
-
 // Block is one logical All-to-All block: the m bytes rank Src owes rank
 // Dst. Plans carry blocks so tests can check the permutation; the
-// executor only uses counts.
+// executor only uses the byte count the payload rule derived from them.
 type Block struct{ Src, Dst int }
 
-// hierMsg is one matched message of a plan, annotated with its carried
-// blocks and the phase index at which each side posts it.
+// cross returns the blocks srcs × dsts in src-major order.
+func cross(srcs, dsts []int) []Block {
+	out := make([]Block, 0, len(srcs)*len(dsts))
+	for _, i := range srcs {
+		for _, j := range dsts {
+			out = append(out, Block{Src: i, Dst: j})
+		}
+	}
+	return out
+}
+
+// hierMsg is one matched message of a plan: its endpoints, the phase
+// index at which each side posts it, the blocks it carries and the
+// payload bytes Workload.msgBytes sized them to.
 type hierMsg struct {
 	from, to           int
 	fromPhase, toPhase int
 	tag                int32
 	blocks             []Block
+	bytes              int
 }
 
-// planOp is the executor's view of one message end.
-type planOp struct {
-	peer   int
-	tag    int32
-	msgIdx int // index into the plan's message list, which sizes the payload
-}
-
-// hierPhase groups the operations a rank posts together and then waits
-// for. Phases run in order on each rank; there is no global barrier.
+// hierPhase groups the messages (indices into the plan's message list)
+// a rank posts together and then waits for. Phases run in order on each
+// rank; there is no global barrier.
 type hierPhase struct {
-	sends []planOp
-	recvs []planOp
+	sends []int
+	recvs []int
 }
 
-// HierPlan is a compiled hierarchical collective for one topology.
+// HierPlan is a compiled hierarchical collective for one topology and
+// one workload.
 type HierPlan struct {
 	Alg HierAlgorithm
-	// Kind is the collective the plan implements. The zero value is
-	// KindAlltoall: plans compiled by PlanHierTree are All-to-All plans.
-	Kind Kind
-	// Place is the leaf-granularity flattening of the topology (leaf
-	// index = cluster index), kept for executors and diagnostics.
-	Place Placement
+	// Workload is the collective the plan implements and the sizes its
+	// messages were compiled to.
+	Workload Workload
 	// Tree is the full topology the plan was compiled for.
 	Tree    TreePlacement
 	perRank [][]hierPhase
-	msgs    []*hierMsg // block-annotated message list, for verification
-	// vbytes carries each message's total payload bytes when the plan
-	// was compiled from a SizeMatrix (PlanHierTreeV), indexed like msgs;
-	// nil for uniform plans, whose executor multiplies blocks by m.
-	vbytes []int
-	// kweights carries each message's payload multiple of m for kinds
-	// whose wire bytes are not blocks·m (Allgather forwards one copy
-	// per source, Reduce-scatter one partial per destination, rooted
-	// relays exactly m); nil for All-to-All plans.
-	kweights []int
-}
-
-// msgBytesAt returns message i's payload bytes at per-rank size m,
-// honoring a bound size matrix (vbytes) or a per-kind weighting
-// (kweights); All-to-All plans fall through to blocks·m.
-func (p *HierPlan) msgBytesAt(i, m int) int {
-	switch {
-	case p.vbytes != nil:
-		return p.vbytes[i]
-	case p.kweights != nil:
-		return p.kweights[i] * m
-	default:
-		return len(p.msgs[i].blocks) * m
-	}
+	msgs    []*hierMsg // block-annotated message list, sized by the payload rule
 }
 
 // NumPhases returns the deepest per-rank phase count of the plan.
@@ -504,15 +397,16 @@ func (p *HierPlan) CrossLeafMessages() int {
 	return n
 }
 
-// planBuilder accumulates matched messages into per-rank phase lists.
+// planBuilder accumulates matched messages into per-rank phase lists,
+// sizing each by the workload's payload rule.
 type planBuilder struct {
+	w Workload
+	// keep, when set, restricts every message to the blocks it admits —
+	// a failover recovery epoch carries only live, undelivered blocks.
+	keep  func(Block) bool
 	plans [][]hierPhase
 	tags  map[[2]int]int32
 	msgs  []*hierMsg
-}
-
-func newPlanBuilder(n int) *planBuilder {
-	return &planBuilder{plans: make([][]hierPhase, n), tags: map[[2]int]int32{}}
 }
 
 // phase grows rank r's phase list to include index ph and returns it.
@@ -524,41 +418,107 @@ func (b *planBuilder) phase(r, ph int) *hierPhase {
 }
 
 // msg registers a message carrying blocks from rank `from` (posted in
-// its phase fromPhase) to rank `to` (received in its phase toPhase).
-// Tags are allocated per ordered rank pair in registration order, which
-// both sides share because one builder constructs the whole plan.
+// its phase fromPhase) to rank `to` (received in its phase toPhase). A
+// message the payload rule sizes to zero units does not exist: neither
+// end gets an operation for it. Tags are allocated per ordered rank
+// pair in registration order — before the existence check, so they
+// depend on the topology alone — which both sides share because one
+// builder constructs the whole plan.
 func (b *planBuilder) msg(from, fromPhase, to, toPhase int, blocks []Block) {
-	if len(blocks) == 0 || from == to {
-		return
-	}
 	key := [2]int{from, to}
 	tag := tagHier + b.tags[key]
 	b.tags[key]++
-	m := &hierMsg{from: from, to: to, fromPhase: fromPhase, toPhase: toPhase, tag: tag, blocks: blocks}
-	b.msgs = append(b.msgs, m)
-	idx := len(b.msgs) - 1
-	sp := b.phase(from, fromPhase)
-	sp.sends = append(sp.sends, planOp{peer: to, tag: tag, msgIdx: idx})
-	rp := b.phase(to, toPhase)
-	rp.recvs = append(rp.recvs, planOp{peer: from, tag: tag, msgIdx: idx})
-}
-
-// PlanHierTree compiles the hierarchical All-to-All plan for an
-// arbitrary topology tree.
-func PlanHierTree(spec TreeSpec, alg HierAlgorithm) *HierPlan {
-	tp := NewTreePlacement(spec)
-	c := &treeCompiler{tp: tp, alg: alg, b: newPlanBuilder(tp.NumRanks())}
-	switch alg {
-	case HierGather, HierDirect:
-		c.build()
-	default:
-		panic("coll: unknown hierarchical algorithm")
+	if b.keep != nil {
+		kept := make([]Block, 0, len(blocks))
+		for _, blk := range blocks {
+			if b.keep(blk) {
+				kept = append(kept, blk)
+			}
+		}
+		blocks = kept
 	}
-	return &HierPlan{Alg: alg, Place: tp.Placement(), Tree: tp, perRank: c.b.plans, msgs: c.b.msgs}
+	bytes, exists := b.w.msgBytes(blocks...)
+	if !exists {
+		return
+	}
+	idx := len(b.msgs)
+	b.msgs = append(b.msgs, &hierMsg{from: from, to: to, fromPhase: fromPhase, toPhase: toPhase,
+		tag: tag, blocks: blocks, bytes: bytes})
+	sp := b.phase(from, fromPhase)
+	sp.sends = append(sp.sends, idx)
+	rp := b.phase(to, toPhase)
+	rp.recvs = append(rp.recvs, idx)
 }
 
-// treeCompiler emits the recursive plan. Both variants share one message
-// set — what differs is phase assignment:
+// Compile compiles the hierarchical plan of one workload over a
+// topology tree — the one compile entry of every kind. All-to-All(v),
+// Allgather and Reduce-scatter share the recursive coordinator-relay
+// message set (compileTree); Broadcast, Reduce and Allreduce relay
+// through the same tree's delegates, rooted at rank 0 (compileRooted).
+// What the workload changes is how many bytes each message carries, and
+// whether it exists at all (Workload.msgBytes). It errors on an unknown
+// algorithm, a malformed spec — a node with both or neither of Ranks
+// and Children, ranks that do not cover 0..n−1 exactly once, a
+// coordinator or standby outside its subtree, a coordinator named twice
+// — or a workload that does not fit the spec's rank count
+// (Workload.Validate), naming the offender: specs arrive from planners
+// and callers, not only from code.
+func Compile(spec TreeSpec, w Workload, alg HierAlgorithm) (*HierPlan, error) {
+	return compile(spec, w, alg, nil)
+}
+
+// compile is Compile restricted to the blocks keep admits (nil admits
+// all) — the form failover recovery epochs compile through.
+func compile(spec TreeSpec, w Workload, alg HierAlgorithm, keep func(Block) bool) (*HierPlan, error) {
+	if alg != HierGather && alg != HierDirect {
+		return nil, fmt.Errorf("coll: unknown hierarchical algorithm %d", int(alg))
+	}
+	tp, err := newTreePlacement(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Validate(tp.NumRanks()); err != nil {
+		return nil, err
+	}
+	b := &planBuilder{w: w, keep: keep, plans: make([][]hierPhase, tp.NumRanks()), tags: map[[2]int]int32{}}
+	if w.Kind.relayed() {
+		compileRooted(tp, w.Kind, b)
+	} else {
+		compileTree(tp, alg == HierDirect, b)
+	}
+	return &HierPlan{Alg: alg, Workload: w, Tree: tp, perRank: b.plans, msgs: b.msgs}, nil
+}
+
+// rankPair keys coalesced coordinator-to-coordinator messages.
+type rankPair struct{ from, to int }
+
+// relays coalesces blocks by the rank pair that carries them, in
+// first-seen pair order: several divergence targets owned by the same
+// two coordinators travel as one aggregated message, so the default
+// single-coordinator case keeps exactly one message per child subtree.
+type relays struct {
+	order  []rankPair
+	blocks map[rankPair][]Block
+}
+
+// add routes blocks over the pair from → to.
+func (rl *relays) add(from, to int, blocks []Block) {
+	if rl.blocks == nil {
+		rl.blocks = map[rankPair][]Block{}
+	}
+	p := rankPair{from: from, to: to}
+	if _, ok := rl.blocks[p]; !ok {
+		rl.order = append(rl.order, p)
+	}
+	rl.blocks[p] = append(rl.blocks[p], blocks...)
+}
+
+// terminal marks a HierDirect receive whose content its rank never
+// forwards: its phase is resolved once every send level is known.
+const terminal = -1
+
+// compileTree emits the recursive coordinator-relay plan. Both variants
+// share one message set — what differs is phase assignment:
 //
 // HierGather sequences global tiers: phase 0 is the intra-leaf exchange,
 // phase 1 the leaf gather, phase 1+h runs tier h (aggregated exchange
@@ -571,14 +531,8 @@ func PlanHierTree(spec TreeSpec, alg HierAlgorithm) *HierPlan {
 // (terminal receives as early as safety allows). Leaf non-coordinators
 // collapse to a single phase posting everything at once, which is what
 // overlaps the local exchange with the coordinator relay.
-type treeCompiler struct {
-	tp  TreePlacement
-	alg HierAlgorithm
-	b   *planBuilder
-}
-
-func (c *treeCompiler) build() {
-	root := c.tp.root
+func compileTree(tp TreePlacement, direct bool, b *planBuilder) {
+	root := tp.root
 	H := root.height
 
 	// downSend(v): the HierDirect level at which v's owning coordinators
@@ -609,37 +563,32 @@ func (c *treeCompiler) build() {
 	}
 	computeDown(root)
 
-	direct := c.alg == HierDirect
-
-	// Phase selectors per message family. For HierGather both ends share
-	// the global tier phase; for HierDirect sends use dependency levels
-	// and receives are resolved below (terminal receives need the
-	// rank's final send phase, so emission is two-pass).
-	type pending struct {
-		from, to     int
-		fromPhase    int
-		toPhase      int  // ≥0 when fixed
-		terminalAtTo bool // HierDirect: resolve toPhase to maxSend(to)
-		blocks       []Block
-	}
-	var out []pending
+	// Emission is two-pass: for HierGather both ends share the global
+	// tier phase; for HierDirect sends use dependency levels and a
+	// terminal receive needs its rank's final send phase, known only
+	// once every message is out. A rank never messages itself (a
+	// coordinator already holds the blocks it owns) and an empty relay
+	// does not exist; this is the one place that says so.
+	var out []hierMsg
 	emit := func(from, fromPhase, to, toPhase int, blocks []Block) {
 		if len(blocks) == 0 || from == to {
 			return
 		}
-		out = append(out, pending{from: from, fromPhase: fromPhase, to: to, toPhase: toPhase, blocks: blocks})
+		out = append(out, hierMsg{from: from, fromPhase: fromPhase, to: to, toPhase: toPhase, blocks: blocks})
 	}
-	emitTerminal := func(from, fromPhase, to int, blocks []Block) {
-		if len(blocks) == 0 || from == to {
-			return
+	// tier picks a message's phases: gather on both ends under
+	// HierGather, the given send/receive levels under HierDirect.
+	tier := func(gather, sendLvl, recvLvl int) (int, int) {
+		if direct {
+			return sendLvl, recvLvl
 		}
-		out = append(out, pending{from: from, fromPhase: fromPhase, to: to, toPhase: -1, terminalAtTo: true, blocks: blocks})
+		return gather, gather
 	}
 
 	// 1. Intra-leaf exchange: every local ordered pair's block, all
 	// posted at once (PostAll style, the shape the contention signature
 	// is fitted on). Phase 0 in both variants.
-	for _, lf := range c.tp.leaves {
+	for _, lf := range tp.leaves {
 		mem := lf.ranks
 		for ki, i := range mem {
 			for _, j := range mem[ki+1:] {
@@ -654,23 +603,13 @@ func (c *treeCompiler) build() {
 	// walking ancestors bottom-up, one message per sibling subtree. With
 	// C coordinators the targets (and so the gather incast) split
 	// round-robin across the set; a coordinator forwards the targets it
-	// does not own like any other member.
-	for _, lf := range c.tp.leaves {
+	// does not own like any other member. Under HierDirect the blocks
+	// are held at start and the owner forwards at level 1.
+	for _, lf := range tp.leaves {
 		for _, i := range lf.ranks {
 			for _, sib := range targetsOf(lf) {
-				owner := ownerOf(lf, sib)
-				if i == owner {
-					continue
-				}
-				var blocks []Block
-				for _, j := range sib.ranks {
-					blocks = append(blocks, Block{Src: i, Dst: j})
-				}
-				sp, rp := 1, 1
-				if direct {
-					sp, rp = 0, 0 // held at start; the owner forwards at level 1
-				}
-				emit(i, sp, owner, rp, blocks)
+				sp, rp := tier(1, 0, 0)
+				emit(i, sp, ownerOf(lf, sib), rp, cross([]int{i}, sib.ranks))
 			}
 		}
 	}
@@ -690,68 +629,38 @@ func (c *treeCompiler) build() {
 	collectGroups(root)
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].height < groups[j].height })
 
-	// rankPair keys coalesced coordinator-to-coordinator messages.
-	type rankPair struct{ from, to int }
-
 	for _, g := range groups {
 		// Exchange: one aggregated message per ordered child pair, routed
 		// between the owning coordinators of each side (the sender owns
-		// the outbound target, the receiver the inbound source).
+		// the outbound target, the receiver the inbound source). Under
+		// HierDirect its sends and receives are posted together, at each
+		// side's own tier level: a rendezvous send only completes once
+		// the receive is posted, so delaying the receive past the peer's
+		// send phase would deadlock two coordinators against each other.
 		for _, a := range g.children {
 			for _, bb := range g.children {
 				if a == bb {
 					continue
 				}
-				var blocks []Block
-				for _, i := range a.ranks {
-					for _, j := range bb.ranks {
-						blocks = append(blocks, Block{Src: i, Dst: j})
-					}
-				}
-				sp, rp := 1+g.height, 1+g.height
-				if direct {
-					// Exchange sends and receives are posted together, at
-					// each side's own tier level: a rendezvous send only
-					// completes once the receive is posted, so delaying
-					// the receive past the peer's send phase would
-					// deadlock two coordinators against each other.
-					sp, rp = a.height+1, bb.height+1
-				}
-				emit(ownerOf(a, bb), sp, ownerOf(bb, a), rp, blocks)
+				sp, rp := tier(1+g.height, a.height+1, bb.height+1)
+				emit(ownerOf(a, bb), sp, ownerOf(bb, a), rp, cross(a.ranks, bb.ranks))
 			}
 		}
 		// Upward gather: the blocks that leave this tier move from each
 		// child's owning coordinator to the tier's, per divergence
-		// target of g; messages between one rank pair coalesce, so the
-		// default single-coordinator case keeps exactly one aggregated
-		// message per child.
+		// target of g.
 		if g.parent == nil {
 			continue
 		}
 		gTargets := targetsOf(g)
 		for _, ch := range g.children {
-			var order []rankPair
-			byPair := map[rankPair][]Block{}
+			var up relays
 			for _, t := range gTargets {
-				p := rankPair{from: ownerOf(ch, t), to: ownerOf(g, t)}
-				if p.from == p.to {
-					continue
-				}
-				if _, ok := byPair[p]; !ok {
-					order = append(order, p)
-				}
-				for _, i := range ch.ranks {
-					for _, j := range t.ranks {
-						byPair[p] = append(byPair[p], Block{Src: i, Dst: j})
-					}
-				}
+				up.add(ownerOf(ch, t), ownerOf(g, t), cross(ch.ranks, t.ranks))
 			}
-			for _, p := range order {
-				sp, rp := 1+g.height, 1+g.height
-				if direct {
-					sp, rp = ch.height+1, g.height
-				}
-				emit(p.from, sp, p.to, rp, byPair[p])
+			for _, p := range up.order {
+				sp, rp := tier(1+g.height, ch.height+1, g.height)
+				emit(p.from, sp, p.to, rp, up.blocks[p])
 			}
 		}
 	}
@@ -770,18 +679,6 @@ func (c *treeCompiler) build() {
 	collectAll(root)
 	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].depth < nodes[j].depth })
 
-	// forwardsAny reports whether the receiver will forward part of the
-	// message (some block is addressed past it) — the HierDirect test
-	// for a fixed receive level versus a terminal receive.
-	forwardsAny := func(blocks []Block, to int) bool {
-		for _, b := range blocks {
-			if b.Dst != to {
-				return true
-			}
-		}
-		return false
-	}
-
 	for _, v := range nodes {
 		if v.parent == nil {
 			continue // the root has no inbound traffic to distribute
@@ -793,70 +690,42 @@ func (c *treeCompiler) build() {
 			// message per (owner, member) pair, so a C-way split leaf
 			// scatters through C ports.
 			for _, i := range v.ranks {
-				var order []int
-				byOwner := map[int][]Block{}
+				var down relays
 				for _, t := range vTargets {
 					if deliveredAbove(v, t, i) {
 						continue // an upstream relay already handed i these blocks
 					}
-					o := ownerOf(v, t)
-					if _, ok := byOwner[o]; !ok {
-						order = append(order, o)
-					}
-					for _, j := range t.ranks {
-						byOwner[o] = append(byOwner[o], Block{Src: j, Dst: i})
-					}
+					down.add(ownerOf(v, t), i, cross(t.ranks, []int{i}))
 				}
-				for _, o := range order {
-					sp, rp := 1+H+v.depth, 1+H+v.depth
-					if direct {
-						emitTerminal(o, downSend[v], i, byOwner[o])
-						continue
-					}
-					emit(o, sp, i, rp, byOwner[o])
+				for _, p := range down.order {
+					sp, rp := tier(1+H+v.depth, downSend[v], terminal)
+					emit(p.from, sp, p.to, rp, down.blocks[p])
 				}
 			}
 			continue
 		}
 		for _, ch := range v.children {
-			var order []rankPair
-			byPair := map[rankPair][]Block{}
+			var down relays
 			for _, t := range vTargets {
-				p := rankPair{from: ownerOf(v, t), to: ownerOf(ch, t)}
-				if p.from == p.to {
-					continue
-				}
-				if _, ok := byPair[p]; !ok {
-					order = append(order, p)
-				}
 				var dsts []int
 				for _, d := range ch.ranks {
 					if !deliveredAbove(v, t, d) {
 						dsts = append(dsts, d)
 					}
 				}
-				for _, j := range t.ranks {
-					for _, d := range dsts {
-						byPair[p] = append(byPair[p], Block{Src: j, Dst: d})
-					}
-				}
+				down.add(ownerOf(v, t), ownerOf(ch, t), cross(t.ranks, dsts))
 			}
-			for _, p := range order {
-				blocks := byPair[p]
-				if len(blocks) == 0 {
-					continue
+			for _, p := range down.order {
+				blocks := down.blocks[p]
+				// Under HierDirect a receiver that forwards part of the
+				// message (some block is addressed past it) takes it one
+				// level before its own scatter; otherwise the receive is
+				// terminal.
+				recvLvl := terminal
+				if slices.ContainsFunc(blocks, func(b Block) bool { return b.Dst != p.to }) {
+					recvLvl = downSend[ch] - 1
 				}
-				sp, rp := 1+H+v.depth, 1+H+v.depth
-				if direct {
-					sp = downSend[v]
-					if forwardsAny(blocks, p.to) {
-						rp = downSend[ch] - 1
-						emit(p.from, sp, p.to, rp, blocks)
-						continue
-					}
-					emitTerminal(p.from, sp, p.to, blocks)
-					continue
-				}
+				sp, rp := tier(1+H+v.depth, downSend[v], recvLvl)
 				emit(p.from, sp, p.to, rp, blocks)
 			}
 		}
@@ -865,17 +734,14 @@ func (c *treeCompiler) build() {
 	// Resolve terminal receive phases: a receive whose content the rank
 	// never forwards is posted once all the rank's sends are out, so a
 	// blocked WaitAll can't withhold a message another subtree needs.
-	maxSend := make([]int, c.tp.NumRanks())
+	maxSend := make([]int, tp.NumRanks())
 	for _, m := range out {
-		if m.fromPhase > maxSend[m.from] {
-			maxSend[m.from] = m.fromPhase
-		}
+		maxSend[m.from] = max(maxSend[m.from], m.fromPhase)
 	}
 	for _, m := range out {
-		ph := m.toPhase
-		if m.terminalAtTo {
-			ph = maxSend[m.to]
+		if m.toPhase == terminal {
+			m.toPhase = maxSend[m.to]
 		}
-		c.b.msg(m.from, m.fromPhase, m.to, ph, m.blocks)
+		b.msg(m.from, m.fromPhase, m.to, m.toPhase, m.blocks)
 	}
 }

@@ -11,24 +11,95 @@ import (
 	"repro/internal/sim"
 )
 
-// verifyHierPlan executes a plan symbolically at block granularity: each
-// rank advances through its phases; a phase completes once every inbound
-// message's sender has posted it (entered its own sending phase) AND
-// every outbound message's receiver has posted the matching receive —
-// the rendezvous protocol's completion rule, under which a send blocks
-// its phase until the receiver arrives. It checks three properties of
-// the actual plan the mpi executor runs:
+// flatSpec builds the depth-1 TreeSpec of a flat rank→cluster map:
+// every cluster becomes a leaf under one root group.
+func flatSpec(clusterOf []int) TreeSpec {
+	var t TreeSpec
+	for r, c := range clusterOf {
+		for len(t.Children) <= c {
+			t.Children = append(t.Children, TreeSpec{})
+		}
+		t.Children[c].Ranks = append(t.Children[c].Ranks, r)
+	}
+	return t
+}
+
+// mustCompile is Compile for inputs the test knows are well formed.
+func mustCompile(t testing.TB, spec TreeSpec, w Workload, alg HierAlgorithm) *HierPlan {
+	t.Helper()
+	plan, err := Compile(spec, w, alg)
+	if err != nil {
+		t.Fatalf("Compile(%v, %v): %v", w.Kind, alg, err)
+	}
+	return plan
+}
+
+// alltoallPlan compiles the uniform All-to-All plan at m bytes per pair.
+func alltoallPlan(t testing.TB, spec TreeSpec, m int, alg HierAlgorithm) *HierPlan {
+	t.Helper()
+	return mustCompile(t, spec, Uniform(KindAlltoall, m), alg)
+}
+
+// refBytes is the tests' independent statement of the payload rule
+// (Workload.msgBytes): what a message carrying blocks must weigh.
+func refBytes(w Workload, blocks []Block) int {
+	srcs, dsts, owed := map[int]bool{}, map[int]bool{}, 0
+	for _, b := range blocks {
+		srcs[b.Src], dsts[b.Dst] = true, true
+		if w.Kind == KindAlltoallv {
+			owed += w.Sizes.At(b.Src, b.Dst)
+		}
+	}
+	switch w.Kind {
+	case KindAlltoall:
+		return len(blocks) * w.M
+	case KindAlltoallv:
+		return owed
+	case KindAllgather:
+		return len(srcs) * w.M
+	case KindReduceScatter:
+		return len(dsts) * w.M
+	default: // rooted relays carry one payload whatever they cover
+		return min(len(blocks), 1) * w.M
+	}
+}
+
+// verifyHierPlan executes an All-to-All(v) plan symbolically at block
+// granularity: each rank advances through its phases; a phase completes
+// once every inbound message's sender has posted it (entered its own
+// sending phase) AND every outbound message's receiver has posted the
+// matching receive — the rendezvous protocol's completion rule, under
+// which a send blocks its phase until the receiver arrives. A block is
+// owed when its pair exchanges bytes: every ordered pair of a uniform
+// plan, the nonzero entries of an All-to-Allv matrix. It checks, on the
+// actual plan the mpi executor runs:
 //
-//  1. progress: every rank finishes all phases (deadlock-freedom of the
+//  1. sizing: every message weighs what the payload rule says, and an
+//     All-to-Allv message that would weigh nothing does not exist;
+//  2. progress: every rank finishes all phases (deadlock-freedom of the
 //     phase structure under dependency-respecting scheduling, even when
-//     every message is rendezvous);
-//  2. causality: a rank holds every block it sends at posting time;
-//  3. permutation: afterwards every rank holds exactly the blocks
-//     addressed to it.
+//     every message is rendezvous and zero messages are pruned);
+//  3. causality: a rank holds every owed block it sends at posting time;
+//  4. permutation, exactly once: afterwards every rank holds the owed
+//     blocks addressed to it, each carried into its destination by
+//     exactly one message — a relay never re-sends a delivered block.
 func verifyHierPlan(t *testing.T, plan *HierPlan) {
 	t.Helper()
-	p := plan.Place
-	n := p.NumRanks()
+	w := plan.Workload
+	owed := func(b Block) bool {
+		return b.Src != b.Dst && (w.Kind == KindAlltoall || w.Sizes.At(b.Src, b.Dst) > 0)
+	}
+	for _, m := range plan.msgs {
+		if want := refBytes(w, m.blocks); m.bytes != want {
+			t.Fatalf("%v: message %d->%d sized %d bytes, blocks weigh %d",
+				plan.Alg, m.from, m.to, m.bytes, want)
+		}
+		if w.Kind == KindAlltoallv && m.bytes == 0 {
+			t.Fatalf("%v: zero-payload message %d->%d exists", plan.Alg, m.from, m.to)
+		}
+	}
+
+	n := plan.Tree.NumRanks()
 	hold := make([]map[Block]bool, n)
 	for i := 0; i < n; i++ {
 		hold[i] = map[Block]bool{}
@@ -47,7 +118,7 @@ func verifyHierPlan(t *testing.T, plan *HierPlan) {
 				continue
 			}
 			for _, blk := range m.blocks {
-				if !hold[r][blk] {
+				if owed(blk) && !hold[r][blk] {
 					t.Fatalf("%v: rank %d posts block %+v in phase %d without holding it",
 						plan.Alg, r, blk, ph)
 				}
@@ -104,17 +175,7 @@ func verifyHierPlan(t *testing.T, plan *HierPlan) {
 				plan.Alg, r, progress[r], len(plan.perRank[r]))
 		}
 	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if i != j && !hold[j][Block{Src: i, Dst: j}] {
-				t.Fatalf("%v: block %d->%d never reached rank %d", plan.Alg, i, j, j)
-			}
-		}
-	}
 
-	// Exactly-once delivery: each block is carried into its final
-	// destination by exactly one message — a relay must never re-send a
-	// block its destination already holds.
 	delivered := map[Block]int{}
 	for _, m := range plan.msgs {
 		for _, blk := range m.blocks {
@@ -125,10 +186,14 @@ func verifyHierPlan(t *testing.T, plan *HierPlan) {
 	}
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			if i == j {
+			blk := Block{Src: i, Dst: j}
+			if !owed(blk) {
 				continue
 			}
-			if got := delivered[Block{Src: i, Dst: j}]; got != 1 {
+			if !hold[j][blk] {
+				t.Fatalf("%v: block %d->%d never reached rank %d", plan.Alg, i, j, j)
+			}
+			if got := delivered[blk]; got != 1 {
 				t.Fatalf("%v: block %d->%d delivered by %d messages, want exactly 1",
 					plan.Alg, i, j, got)
 			}
@@ -152,9 +217,8 @@ func TestHierPlanPermutation(t *testing.T) {
 		{0, 1, 0, 2, 1, 0, 2, 2, 1}, // interleaved placement
 	}
 	for _, clusterOf := range placements {
-		place := NewPlacement(clusterOf)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHierTree(FlatSpec(place), alg))
+			verifyHierPlan(t, alltoallPlan(t, flatSpec(clusterOf), 1, alg))
 		}
 	}
 }
@@ -175,9 +239,8 @@ func TestHierPlanPermutationRandom(t *testing.T) {
 		for i := k; i < n; i++ {
 			clusterOf[perm[i]] = rng.Intn(k)
 		}
-		place := NewPlacement(clusterOf)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHierTree(FlatSpec(place), alg))
+			verifyHierPlan(t, alltoallPlan(t, flatSpec(clusterOf), 1, alg))
 		}
 	}
 }
@@ -230,10 +293,9 @@ func treeSpecs() []TreeSpec {
 func TestHierTreePlanPermutation(t *testing.T) {
 	for ti, spec := range treeSpecs() {
 		for _, alg := range HierAlgorithms {
-			plan := PlanHierTree(spec, alg)
-			if plan.Tree.NumRanks() != plan.Place.NumRanks() {
-				t.Fatalf("tree %d %v: tree has %d ranks, placement %d",
-					ti, alg, plan.Tree.NumRanks(), plan.Place.NumRanks())
+			plan := alltoallPlan(t, spec, 1, alg)
+			if got, want := plan.Tree.NumRanks(), len(specRanks(spec)); got != want {
+				t.Fatalf("tree %d %v: plan covers %d ranks, spec names %d", ti, alg, got, want)
 			}
 			verifyHierPlan(t, plan)
 		}
@@ -291,7 +353,7 @@ func TestHierTreePlanPermutationRandom(t *testing.T) {
 		}
 		fill(&spec, perLeaf)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHierTree(spec, alg))
+			verifyHierPlan(t, alltoallPlan(t, spec, 1, alg))
 		}
 	}
 }
@@ -311,7 +373,7 @@ func TestHierTreeAggregation(t *testing.T) {
 		return 1
 	}
 	for _, alg := range HierAlgorithms {
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 1, alg)
 		cross := map[[2]int]int{}
 		for _, m := range plan.msgs {
 			nf, nt := nationOf(m.from), nationOf(m.to)
@@ -355,7 +417,7 @@ func TestHierTreeAggregation(t *testing.T) {
 // recursive builder: per-rank phase layouts, message counts and
 // aggregation for a 3+3 grid.
 func TestHierPlanTwoLevelShapePinned(t *testing.T) {
-	place := NewPlacement([]int{0, 0, 0, 1, 1, 1})
+	spec := flatSpec([]int{0, 0, 0, 1, 1, 1})
 
 	ops := func(p *HierPlan, r, ph int) (sends, recvs int) {
 		if ph >= len(p.perRank[r]) {
@@ -365,7 +427,7 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 	}
 
 	// hier-gather: 0 intra, 1 gather, 2 coordinator exchange, 3 scatter.
-	g := PlanHierTree(FlatSpec(place), HierGather)
+	g := alltoallPlan(t, spec, 1, HierGather)
 	for r := 0; r < 6; r++ {
 		if got := len(g.perRank[r]); got != 4 {
 			t.Fatalf("gather: rank %d has %d phases, want 4", r, got)
@@ -390,7 +452,7 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 
 	// hier-direct: members collapse to a single do-everything phase;
 	// coordinators keep 3 (intra+gathers, exchange, scatter).
-	d := PlanHierTree(FlatSpec(place), HierDirect)
+	d := alltoallPlan(t, spec, 1, HierDirect)
 	for _, r := range []int{1, 2, 4, 5} {
 		if got := len(d.perRank[r]); got != 1 {
 			t.Fatalf("direct: member %d has %d phases, want 1", r, got)
@@ -419,14 +481,14 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 		var intra, gather, xchg, scatter int
 		for _, m := range p.msgs {
 			switch {
-			case p.Place.Cluster(m.from) != p.Place.Cluster(m.to):
+			case p.Tree.LeafOf(m.from) != p.Tree.LeafOf(m.to):
 				xchg++
 				if len(m.blocks) != 9 {
 					t.Fatalf("%v: exchange carries %d blocks, want 9", p.Alg, len(m.blocks))
 				}
 			case len(m.blocks) == 1:
 				intra++
-			case m.to == p.Place.Coordinator(p.Place.Cluster(m.to)):
+			case m.to == p.Tree.Coordinators(p.Tree.LeafOf(m.to))[0]:
 				gather++
 			default:
 				scatter++
@@ -443,20 +505,20 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 // plan is exactly one message per ordered cluster pair, carrying every
 // inter-cluster block once.
 func TestHierPlanAggregation(t *testing.T) {
-	place := NewPlacement([]int{0, 0, 0, 1, 1, 2})
 	for _, alg := range HierAlgorithms {
-		plan := PlanHierTree(FlatSpec(place), alg)
+		plan := alltoallPlan(t, flatSpec([]int{0, 0, 0, 1, 1, 2}), 1, alg)
+		place := plan.Tree
 		cross := map[[2]int]int{}
 		for _, m := range plan.msgs {
-			cf, ct := place.Cluster(m.from), place.Cluster(m.to)
+			cf, ct := place.LeafOf(m.from), place.LeafOf(m.to)
 			if cf != ct {
 				cross[[2]int{cf, ct}]++
-				if m.from != place.Coordinator(cf) || m.to != place.Coordinator(ct) {
+				if m.from != place.Coordinators(cf)[0] || m.to != place.Coordinators(ct)[0] {
 					t.Fatalf("%v: inter-cluster message %d->%d not coordinator-relayed", alg, m.from, m.to)
 				}
 			}
 		}
-		k := place.NumClusters()
+		k := place.NumLeaves()
 		if len(cross) != k*(k-1) {
 			t.Fatalf("%v: %d cross-cluster message pairs, want %d", alg, len(cross), k*(k-1))
 		}
@@ -479,10 +541,9 @@ func TestHierAlltoallOnGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		place := NewPlacement(g.ClusterOf)
-		plan := PlanHierTree(FlatSpec(place), alg)
+		plan := alltoallPlan(t, flatSpec(g.ClusterOf), 20_000, alg)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())
 		}
@@ -505,12 +566,12 @@ func TestHierTreeAlltoallOn3LevelGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanHierTree(GridSpec(g), alg)
+		plan := alltoallPlan(t, GridSpec(g), 20_000, alg)
 		if plan.Tree.Height() != 2 {
 			t.Fatalf("%v: plan height %d, want 2", alg, plan.Tree.Height())
 		}
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.020 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one continental latency", alg, meas.Mean())
 		}
@@ -552,8 +613,8 @@ func TestAlltoallReportsEffectiveAlgorithm(t *testing.T) {
 }
 
 // planFingerprint renders a plan's full observable structure — per-rank
-// phase op lists and every message with its blocks — for exact
-// plan-equality regression checks.
+// phase op lists and every message with its payload and blocks — for
+// exact plan-equality regression checks.
 func planFingerprint(p *HierPlan) string {
 	var b strings.Builder
 	for r, phases := range p.perRank {
@@ -564,8 +625,8 @@ func planFingerprint(p *HierPlan) string {
 		b.WriteString("\n")
 	}
 	for _, m := range p.msgs {
-		fmt.Fprintf(&b, "msg %d@%d -> %d@%d tag %d blocks %v\n",
-			m.from, m.fromPhase, m.to, m.toPhase, m.tag, m.blocks)
+		fmt.Fprintf(&b, "msg %d@%d -> %d@%d tag %d bytes %d blocks %v\n",
+			m.from, m.fromPhase, m.to, m.toPhase, m.tag, m.bytes, m.blocks)
 	}
 	return b.String()
 }
@@ -603,8 +664,8 @@ func TestHierPlanDefaultEqualsExplicitLowestCoords(t *testing.T) {
 	}
 	for ti, spec := range treeSpecs() {
 		for _, alg := range HierAlgorithms {
-			def := planFingerprint(PlanHierTree(spec, alg))
-			exp := planFingerprint(PlanHierTree(explicit(spec), alg))
+			def := planFingerprint(alltoallPlan(t, spec, 1, alg))
+			exp := planFingerprint(alltoallPlan(t, explicit(spec), 1, alg))
 			if def != exp {
 				t.Fatalf("tree %d %v: explicit lowest-rank coords changed the plan:\n--- default ---\n%s--- explicit ---\n%s",
 					ti, alg, def, exp)
@@ -634,7 +695,7 @@ func TestHierPlanNonLowestCoordinatorRouting(t *testing.T) {
 		{Ranks: []int{3, 4, 5}, Coords: []int{4}},
 	}}
 	for _, alg := range HierAlgorithms {
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 1, alg)
 		verifyHierPlan(t, plan)
 		if got := plan.Tree.Coordinators(0); len(got) != 1 || got[0] != 2 {
 			t.Fatalf("%v: leaf 0 coordinators = %v, want [2]", alg, got)
@@ -661,7 +722,7 @@ func TestHierPlanMultiCoordinatorSplit(t *testing.T) {
 		{Ranks: []int{6, 7}},
 	}}
 	for _, alg := range HierAlgorithms {
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 1, alg)
 		verifyHierPlan(t, plan)
 
 		// Leaf 0's targets in canonical order are cluster 1 (owner 1)
@@ -786,30 +847,53 @@ func TestHierTreeCoordinatorFuzz(t *testing.T) {
 		fill(&spec, perLeaf)
 		assignCoords(&spec)
 		for _, alg := range HierAlgorithms {
-			verifyHierPlan(t, PlanHierTree(spec, alg))
+			verifyHierPlan(t, alltoallPlan(t, spec, 1, alg))
 		}
 	}
 }
 
-// TestTreeSpecCoordsValidation: malformed coordinator sets must be
-// rejected at compile time, not silently produce broken plans.
+// TestTreeSpecCoordsValidation: a malformed spec, algorithm or
+// spec/workload pairing must be rejected by Compile with an error naming
+// the offender — specs arrive from planners and callers — not panic or
+// silently produce a broken plan.
 func TestTreeSpecCoordsValidation(t *testing.T) {
-	mustPanic := func(name string, spec TreeSpec) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		NewTreePlacement(spec)
+	leaf := func(ranks ...int) TreeSpec { return TreeSpec{Ranks: ranks} }
+	pair := func(a, b TreeSpec) TreeSpec { return TreeSpec{Children: []TreeSpec{a, b}} }
+	ok := pair(leaf(0, 1), leaf(2, 3))
+	alltoall := Uniform(KindAlltoall, 8)
+	for _, tc := range []struct {
+		name string
+		spec TreeSpec
+		w    Workload
+		alg  HierAlgorithm
+		want string
+	}{
+		{"ranks-and-children", TreeSpec{Ranks: []int{0}, Children: []TreeSpec{leaf(1)}}, alltoall, HierGather, "both ranks and children"},
+		{"neither-ranks-nor-children", pair(leaf(0, 1), TreeSpec{}), alltoall, HierGather, "neither ranks nor children"},
+		{"rank-twice-in-a-leaf", pair(leaf(0, 0), leaf(1, 2)), alltoall, HierGather, "rank 0 appears twice"},
+		{"rank-in-two-leaves", pair(leaf(0, 1), leaf(1, 2)), alltoall, HierGather, "rank 1 appears twice"},
+		{"rank-missing", pair(leaf(0, 1), leaf(2, 4)), alltoall, HierGather, "rank 4 outside dense range 0..3"},
+		{"rank-negative", pair(leaf(-1, 0), leaf(1, 2)), alltoall, HierGather, "rank -1 outside dense range"},
+		{"coordinator-outside-subtree", pair(TreeSpec{Ranks: []int{0, 1}, Coords: []int{2}}, leaf(2, 3)), alltoall, HierGather, "coordinator 2 is not a rank of its subtree"},
+		{"coordinator-twice", pair(TreeSpec{Ranks: []int{0, 1}, Coords: []int{1, 1}}, leaf(2, 3)), alltoall, HierGather, "coordinator 1 named twice"},
+		{"standby-outside-subtree", pair(TreeSpec{Ranks: []int{0, 1}, Standbys: []int{3}}, leaf(2, 3)), alltoall, HierGather, "standby 3 is not a rank of its subtree"},
+		{"matrix-rank-mismatch", ok, Irregular(NewSizeMatrix(5)), HierGather, "covers 5 ranks, topology has 4"},
+		{"unknown-kind", ok, Uniform(Kind(42), 8), HierGather, "unknown collective kind 42"},
+		{"unknown-alg", ok, alltoall, HierAlgorithm(9), "unknown hierarchical algorithm 9"},
+		// Rooted relays ignore the variant when laying out phases, but
+		// an unknown one is still the caller's bug.
+		{"unknown-alg-rooted", ok, Uniform(KindBroadcast, 8), HierAlgorithm(9), "unknown hierarchical algorithm 9"},
+	} {
+		plan, err := Compile(tc.spec, tc.w, tc.alg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || plan != nil {
+			t.Errorf("%s: plan %v, error %v, want nil and an error naming %q", tc.name, plan != nil, err, tc.want)
+		}
 	}
-	mustPanic("coordinator outside subtree", TreeSpec{Children: []TreeSpec{
-		{Ranks: []int{0, 1}, Coords: []int{2}},
-		{Ranks: []int{2, 3}},
-	}})
-	mustPanic("duplicate coordinator", TreeSpec{Children: []TreeSpec{
-		{Ranks: []int{0, 1}, Coords: []int{1, 1}},
-		{Ranks: []int{2, 3}},
-	}})
+	for _, kind := range suiteKinds {
+		if _, err := Compile(ok, Uniform(kind, 8), HierDirect); err != nil {
+			t.Errorf("%v: well-formed input rejected: %v", kind, err)
+		}
+	}
 }
 
 // TestWithLeafCoords: the helper installs per-leaf coordinator sets in
@@ -823,7 +907,10 @@ func TestWithLeafCoords(t *testing.T) {
 	if len(spec.Children[0].Coords) != 0 {
 		t.Fatal("WithLeafCoords mutated the receiver")
 	}
-	tp := NewTreePlacement(got)
+	tp, err := newTreePlacement(got)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c := tp.Coordinators(0); len(c) != 1 || c[0] != 2 {
 		t.Fatalf("leaf 0 coords = %v, want [2]", c)
 	}
@@ -848,10 +935,10 @@ func TestHierAlltoallOnGridWithCoords(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := GridSpec(g).WithLeafCoords([][]int{{1, 2}, {4}, {8}})
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 20_000, alg)
 		verifyHierPlan(t, plan)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, 20_000, nil) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())
 		}

@@ -2,15 +2,14 @@ package coll
 
 import "fmt"
 
-// The collective suite on TreeSpec. PlanHierTree compiles the
-// hierarchical All-to-All; the other collectives a grid schedules —
-// Allgather, Broadcast, Reduce, Reduce-scatter, Allreduce — route
-// through the same coordinator trees (the MagPIe/LaPIe per-collective
-// wide-area plans). PlanKindTree generalizes the builder: every kind
-// reuses the rendezvous-safe phase machinery, the coordinator sets and
-// standbys, and the block-annotated exactly-once verification; what
-// changes per kind is the block flow and how many bytes each message
-// carries.
+// The collective suite on TreeSpec. Besides the hierarchical
+// All-to-All(v), Compile routes the other collectives a grid schedules —
+// Allgather, Broadcast, Reduce, Reduce-scatter, Allreduce — through the
+// same coordinator trees (the MagPIe/LaPIe per-collective wide-area
+// plans): every kind reuses the rendezvous-safe phase machinery, the
+// coordinator sets and standbys, and the block-annotated exactly-once
+// verification; what changes per kind is the block flow and how many
+// bytes each message carries (Workload.msgBytes).
 //
 // Allgather and Reduce-scatter are the gather/scatter halves of the
 // All-to-All structure: the message set and phases are identical, but a
@@ -31,7 +30,7 @@ const (
 	// other rank m bytes.
 	KindAlltoall Kind = iota
 	// KindAlltoallv is the irregular All-to-All over a SizeMatrix
-	// (PlanHierTreeV).
+	// (Workload.Sizes).
 	KindAlltoallv
 	// KindAllgather delivers every rank's m-byte contribution to every
 	// rank.
@@ -90,62 +89,27 @@ func ParseKind(s string) (Kind, error) {
 // (Broadcast and Reduce; plans fix it at rank 0).
 func (k Kind) Rooted() bool { return k == KindBroadcast || k == KindReduce }
 
-// PlanKindTree compiles the hierarchical plan of one collective kind
-// over a topology tree. KindAlltoall compiles exactly the PlanHierTree
-// plan (same messages, phases, tags and sizes). Rooted kinds fix the
-// root at rank 0. KindAlltoallv is rejected: irregular plans need a
-// size matrix — use PlanHierTreeV.
+// relayed reports whether the kind's plan is the rooted delegate relay
+// (Broadcast, Reduce and their composition Allreduce) rather than the
+// All-to-All-shaped coordinator exchange.
+func (k Kind) relayed() bool { return k.Rooted() || k == KindAllreduce }
+
+// PlanKindTree is Compile for a uniform kind at M = 0, panicking on the
+// errors Compile returns. It exists because bench/ calls it by name to
+// count a plan's messages and phases, which do not depend on M.
 func PlanKindTree(spec TreeSpec, kind Kind, alg HierAlgorithm) *HierPlan {
-	switch kind {
-	case KindAlltoall:
-		return PlanHierTree(spec, alg)
-	case KindAlltoallv:
-		panic("coll: Alltoallv plans bind a size matrix; use PlanHierTreeV")
-	case KindAllgather:
-		p := PlanHierTree(spec, alg)
-		p.Kind = kind
-		p.kweights = blockWeights(p.msgs, distinctSrcs)
-		return p
-	case KindReduceScatter:
-		p := PlanHierTree(spec, alg)
-		p.Kind = kind
-		p.kweights = blockWeights(p.msgs, distinctDsts)
-		return p
-	case KindBroadcast, KindReduce, KindAllreduce:
-		return planRooted(spec, kind, alg)
-	default:
-		panic(fmt.Sprintf("coll: unknown collective kind %d", int(kind)))
+	p, err := Compile(spec, Uniform(kind, 0), alg)
+	if err != nil {
+		panic(err)
 	}
+	return p
 }
 
-// blockWeights computes each message's payload multiple of m under a
-// per-kind weighting of its carried blocks.
-func blockWeights(msgs []*hierMsg, weigh func([]Block) int) []int {
-	out := make([]int, len(msgs))
-	for i, m := range msgs {
-		out[i] = weigh(m.blocks)
-	}
-	return out
-}
-
-// distinctSrcs counts distinct block sources: an Allgather message
-// forwards one m-byte contribution per source it covers, however many
-// destinations each is bound for.
-func distinctSrcs(blocks []Block) int {
+// distinct counts the distinct values key takes over blocks.
+func distinct(blocks []Block, key func(Block) int) int {
 	seen := make(map[int]bool, len(blocks))
 	for _, b := range blocks {
-		seen[b.Src] = true
-	}
-	return len(seen)
-}
-
-// distinctDsts counts distinct block destinations: a Reduce-scatter
-// message combines same-destination contributions into one m-byte
-// partial sum before it travels.
-func distinctDsts(blocks []Block) int {
-	seen := make(map[int]bool, len(blocks))
-	for _, b := range blocks {
-		seen[b.Dst] = true
+		seen[key(b)] = true
 	}
 	return len(seen)
 }
@@ -167,20 +131,8 @@ type relayEdge struct {
 // coordinator sets steer the relay) — and leaves fan out to members.
 func relayTree(tp TreePlacement, root int) []relayEdge {
 	var edges []relayEdge
-	contains := func(sorted []int, r int) bool {
-		lo, hi := 0, len(sorted)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if sorted[mid] < r {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(sorted) && sorted[lo] == r
-	}
 	delegate := func(v *pnode, src int) int {
-		if contains(v.ranks, src) {
+		if v.has(src) {
 			return src
 		}
 		return v.coords[0]
@@ -207,10 +159,11 @@ func relayTree(tp TreePlacement, root int) []relayEdge {
 	return edges
 }
 
-// planRooted compiles Broadcast, Reduce, or their composition Allreduce
-// over the topology's delegate relay, rooted at rank 0. Every message
-// carries exactly m bytes (a broadcast payload is replicated, a
-// reduction forwards one combined partial), so kweights is all ones.
+// compileRooted emits Broadcast, Reduce, or their composition
+// Allreduce over the topology's delegate relay, rooted at rank 0. Every
+// message carries exactly m bytes (a broadcast payload is replicated, a
+// reduction forwards one combined partial), and both algorithm variants
+// share the one phase layout.
 //
 // Broadcast edges run top-down: a level-ℓ hop is received in phase ℓ
 // and forwarded in phase ℓ+1, so each rank's own phase order encodes
@@ -221,70 +174,26 @@ func relayTree(tp TreePlacement, root int) []relayEdge {
 // property tests verify: (src → root) per contribution on the way up,
 // (root → dst) per result copy on the way down, each delivered exactly
 // once at its terminal rank.
-func planRooted(spec TreeSpec, kind Kind, alg HierAlgorithm) *HierPlan {
+func compileRooted(tp TreePlacement, kind Kind, b *planBuilder) {
 	const root = 0
-	tp := NewTreePlacement(spec)
 	edges := relayTree(tp, root)
 	maxLevel := 0
 	for _, e := range edges {
-		if e.level > maxLevel {
-			maxLevel = e.level
-		}
+		maxLevel = max(maxLevel, e.level)
 	}
-	b := newPlanBuilder(tp.NumRanks())
-	emitReduce := func(phaseOff int) {
+	bcastOff := 0
+	if kind != KindBroadcast { // Reduce, and Allreduce's first half
 		for _, e := range edges {
-			blocks := make([]Block, 0, len(e.covers))
-			for _, j := range e.covers {
-				blocks = append(blocks, Block{Src: j, Dst: root})
-			}
-			ph := phaseOff + maxLevel - e.level
-			b.msg(e.child, ph, e.parent, ph, blocks)
+			ph := maxLevel - e.level
+			b.msg(e.child, ph, e.parent, ph, cross(e.covers, []int{root}))
 		}
+		bcastOff = maxLevel + 1
 	}
-	emitBcast := func(phaseOff int) {
+	if kind != KindReduce { // Broadcast, and Allreduce's second half
 		for _, e := range edges {
-			blocks := make([]Block, 0, len(e.covers))
-			for _, j := range e.covers {
-				blocks = append(blocks, Block{Src: root, Dst: j})
-			}
-			ph := phaseOff + e.level
-			b.msg(e.parent, ph, e.child, ph, blocks)
+			ph := bcastOff + e.level
+			b.msg(e.parent, ph, e.child, ph, cross([]int{root}, e.covers))
 		}
-	}
-	switch kind {
-	case KindBroadcast:
-		emitBcast(0)
-	case KindReduce:
-		emitReduce(0)
-	case KindAllreduce:
-		emitReduce(0)
-		emitBcast(maxLevel + 1)
-	}
-	p := &HierPlan{Alg: alg, Kind: kind, Place: tp.Placement(), Tree: tp, perRank: b.plans, msgs: b.msgs}
-	p.kweights = make([]int, len(p.msgs))
-	for i := range p.kweights {
-		p.kweights[i] = 1
-	}
-	return p
-}
-
-// KindMsgBytes sizes a message carrying blocks under a kind's payload
-// model with per-rank contribution m: the weighting PlanKindTree bakes
-// into kweights, exposed for recovery replanning over block subsets.
-func KindMsgBytes(kind Kind, blocks []Block, m int) int {
-	if len(blocks) == 0 {
-		return 0
-	}
-	switch kind {
-	case KindAllgather:
-		return distinctSrcs(blocks) * m
-	case KindReduceScatter:
-		return distinctDsts(blocks) * m
-	case KindBroadcast, KindReduce, KindAllreduce:
-		return m
-	default:
-		return len(blocks) * m
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// suiteKinds are the uniform kinds PlanKindTree compiles (Alltoallv
-// binds a matrix and goes through PlanHierTreeV).
+// suiteKinds are the uniform kinds (Alltoallv carries a size matrix;
+// its plans are verified by verifyHierPlan).
 var suiteKinds = []Kind{
 	KindAlltoall, KindAllgather, KindBroadcast,
 	KindReduce, KindReduceScatter, KindAllreduce,
@@ -55,9 +55,10 @@ func wantUniverse(kind Kind, n int) map[Block]bool {
 // matches the kind's semantics, every obligation is delivered exactly
 // once at its terminal rank, every message's sender possesses its
 // blocks before forwarding them (received in a strictly earlier phase
-// of its own order, or held initially), and the payload sizing agrees
-// with KindMsgBytes.
-func verifyKindPlan(plan *HierPlan, kind Kind, m int) error {
+// of its own order, or held initially), and every message weighs what
+// the tests' reference of the payload rule says (refBytes).
+func verifyKindPlan(plan *HierPlan) error {
+	kind := plan.Workload.Kind
 	n := plan.Tree.NumRanks()
 	want := wantUniverse(kind, n)
 	got := map[Block]bool{}
@@ -106,8 +107,8 @@ func verifyKindPlan(plan *HierPlan, kind Kind, m int) error {
 					kind, msg.from, b.Src, b.Dst, msg.fromPhase, ph)
 			}
 		}
-		if gotB, wantB := plan.msgBytesAt(i, m), KindMsgBytes(kind, msg.blocks, m); gotB != wantB {
-			return fmt.Errorf("%s: message %d sized %d bytes, want %d", kind, i, gotB, wantB)
+		if wantB := refBytes(plan.Workload, msg.blocks); msg.bytes != wantB {
+			return fmt.Errorf("%s: message %d sized %d bytes, want %d", kind, i, msg.bytes, wantB)
 		}
 	}
 	return nil
@@ -164,8 +165,7 @@ func TestKindPlansExactlyOnceProperty(t *testing.T) {
 		spec, _ := fuzzSpec(shape8, coordPick)
 		kind := suiteKinds[int(kindPick)%len(suiteKinds)]
 		alg := HierAlgorithms[int(algPick)%len(HierAlgorithms)]
-		plan := PlanKindTree(spec, kind, alg)
-		if err := verifyKindPlan(plan, kind, 4096); err != nil {
+		if err := verifyKindPlan(mustCompile(t, spec, Uniform(kind, 4096), alg)); err != nil {
 			t.Logf("shape=%d coord=%d alg=%v: %v", shape8, coordPick, alg, err)
 			return false
 		}
@@ -173,39 +173,6 @@ func TestKindPlansExactlyOnceProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPlanKindAlltoallBitIdentical pins the refactor's regression
-// contract at the plan layer: PlanKindTree(KindAlltoall) and the
-// pre-suite PlanHierTree produce byte-for-byte the same plan — same
-// messages, phases, tags, blocks, per-rank schedules — with no kind
-// weighting attached, and the executor sizes every message exactly as
-// before.
-func TestPlanKindAlltoallBitIdentical(t *testing.T) {
-	for shape := uint8(0); shape < 8; shape++ {
-		spec, _ := fuzzSpec(shape, shape*3)
-		for _, alg := range HierAlgorithms {
-			old := PlanHierTree(spec, alg)
-			neu := PlanKindTree(spec, KindAlltoall, alg)
-			if neu.Kind != KindAlltoall || neu.kweights != nil || neu.vbytes != nil {
-				t.Fatalf("alltoall plan grew kind annotations: kind=%v", neu.Kind)
-			}
-			if !reflect.DeepEqual(old.perRank, neu.perRank) {
-				t.Fatalf("shape=%d %v: per-rank schedules differ", shape, alg)
-			}
-			if len(old.msgs) != len(neu.msgs) {
-				t.Fatalf("shape=%d %v: %d vs %d messages", shape, alg, len(old.msgs), len(neu.msgs))
-			}
-			for i := range old.msgs {
-				if !reflect.DeepEqual(*old.msgs[i], *neu.msgs[i]) {
-					t.Fatalf("shape=%d %v: message %d differs", shape, alg, i)
-				}
-				if old.msgBytesAt(i, 777) != len(old.msgs[i].blocks)*777 {
-					t.Fatalf("alltoall sizing changed for message %d", i)
-				}
-			}
-		}
 	}
 }
 
@@ -224,10 +191,10 @@ func TestKindPlannedExecutionCompletes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan := PlanKindTree(GridSpec(g), kind, alg)
+			plan := mustCompile(t, GridSpec(g), Uniform(kind, m), alg)
 			n := plan.Tree.NumRanks()
 			w := mpi.NewWorld(g.Env, mpi.Config{})
-			meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, m, nil) })
+			meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 			if meas.Times[0] <= 0 {
 				t.Fatalf("%s/%v: no time elapsed", kind, alg)
 			}
@@ -261,9 +228,9 @@ func TestKindWireVolumeOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := PlanKindTree(GridSpec(g), kind, HierGather)
+		plan := mustCompile(t, GridSpec(g), Uniform(kind, m), HierGather)
 		w := mpi.NewWorld(g.Env, mpi.Config{})
-		Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, m, nil) })
+		Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		return g.Env.Fabric.TotalStats().BytesSent
 	}
 	bcast, ag, ata := vol(KindBroadcast), vol(KindAllgather), vol(KindAlltoall)
@@ -292,7 +259,7 @@ func TestKindFailoverExactlyOnce(t *testing.T) {
 		victim := rk[1]
 		spec.Children[1].Coords = []int{victim}
 		spec.Children[1].Standbys = []int{rk[2], rk[0]}
-		plan := PlanKindTree(spec, kind, HierGather)
+		plan := mustCompile(t, spec, Uniform(kind, m), HierGather)
 		n := plan.Tree.NumRanks()
 		hosts := make([]string, n)
 		for i := range hosts {
@@ -304,7 +271,7 @@ func TestKindFailoverExactlyOnce(t *testing.T) {
 		if err := g.Env.Net.ApplyFaults(fs); err != nil {
 			t.Fatal(err)
 		}
-		fr := NewFailoverRun(plan, m, FailoverConfig{
+		fr := NewFailoverRun(plan, FailoverConfig{
 			Timeout: 100 * sim.Millisecond,
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
@@ -359,7 +326,7 @@ func TestKindFailoverChaosProperty(t *testing.T) {
 			}
 		}
 		kind := suiteKinds[int(kindPick)%len(suiteKinds)]
-		plan := PlanKindTree(spec, kind, HierGather)
+		plan := mustCompile(t, spec, Uniform(kind, 10_000), HierGather)
 		n := plan.Tree.NumRanks()
 		losses := int(losses8 % 3)
 		if losses > n-2 {
@@ -376,7 +343,7 @@ func TestKindFailoverChaosProperty(t *testing.T) {
 		if err := g.Env.Net.ApplyFaults(fs); err != nil {
 			return false
 		}
-		fr := NewFailoverRun(plan, 10_000, FailoverConfig{
+		fr := NewFailoverRun(plan, FailoverConfig{
 			Timeout: 150 * sim.Millisecond,
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },

@@ -91,7 +91,7 @@ func TestFailoverChaosProperty(t *testing.T) {
 			}
 		}
 		alg := HierAlgorithms[int(algPick)%len(HierAlgorithms)]
-		plan := PlanHierTree(spec, alg)
+		plan := alltoallPlan(t, spec, 10_000, alg)
 		n := plan.Tree.NumRanks()
 
 		// Up to 2 node losses, but always at least 2 survivors.
@@ -110,7 +110,7 @@ func TestFailoverChaosProperty(t *testing.T) {
 		if err := g.Env.Net.ApplyFaults(fs); err != nil {
 			return false
 		}
-		fr := NewFailoverRun(plan, 10_000, FailoverConfig{
+		fr := NewFailoverRun(plan, FailoverConfig{
 			Timeout: 150 * sim.Millisecond,
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },

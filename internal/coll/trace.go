@@ -30,7 +30,7 @@ type PhaseTrace struct {
 
 // NewPhaseTrace builds a trace sized for the plan's phases and ranks.
 func NewPhaseTrace(plan *HierPlan) *PhaseTrace {
-	n := plan.Place.NumRanks()
+	n := plan.Tree.NumRanks()
 	p := plan.NumPhases()
 	pt := &PhaseTrace{plan: plan}
 	pt.starts = make([][]sim.Time, p)
@@ -109,8 +109,7 @@ func (pt *PhaseTrace) Spans() []PhaseSpan {
 // height). HierDirect phases are dependency levels of the overlapped
 // relay, which interleave gather, exchange, and scatter traffic.
 func (p *HierPlan) PhaseLabel(i int) string {
-	switch p.Kind {
-	case KindBroadcast, KindReduce, KindAllreduce:
+	if p.Workload.Kind.relayed() {
 		// Rooted relays share one phase layout across both algorithm
 		// variants: one relay level per phase (Allreduce runs the reduce
 		// levels first, then the broadcast levels).
@@ -132,42 +131,46 @@ func (p *HierPlan) PhaseLabel(i int) string {
 	return fmt.Sprintf("level-%d", i)
 }
 
+// post posts rank r's operations of one phase — every receive, then
+// every send, so a rendezvous peer always finds its receive waiting —
+// with tags shifted by tagOff, and returns the requests in posting
+// order: the first len(ph.recvs) are the receives. It is the one loop
+// that turns plan messages into mpi operations; the plain executor and
+// the failover runtime differ only in how they wait on the result.
+func (p *HierPlan) post(r *mpi.Rank, ph hierPhase, tagOff int32) []*mpi.Request {
+	qs := make([]*mpi.Request, 0, len(ph.recvs)+len(ph.sends))
+	for _, i := range ph.recvs {
+		m := p.msgs[i]
+		qs = append(qs, r.Irecv(m.from, m.tag+tagOff))
+	}
+	for _, i := range ph.sends {
+		m := p.msgs[i]
+		qs = append(qs, r.Isend(m.to, m.tag+tagOff, m.bytes))
+	}
+	return qs
+}
+
 // RunPlan executes a compiled plan on the calling rank — the one
 // executor of every kind's hierarchical plan. Each phase posts its
 // receives and sends and waits for all of them; phases run in order on
-// each rank with no global barrier. Uniform plans size sends as
-// blocks·m (kweights·m for non-All-to-All kinds) and skip empty phases
-// outright; size-bound plans (BindSizes) ignore m and skip zero-byte
-// messages on both ends, so a pair that owes no bytes pays no start-up.
-// A non-nil pt (built for this plan) records the rank's phase
-// boundaries. Every rank of the plan's topology must call it with the
-// same plan and m.
-func RunPlan(r *mpi.Rank, plan *HierPlan, m int, pt *PhaseTrace) {
-	if plan.Place.NumRanks() != r.Size() {
+// each rank with no global barrier, and a phase the rank has no
+// message in costs nothing. Payloads are the bytes Compile sized, so a
+// pair that owes no bytes pays no start-up. A non-nil pt (built for
+// this plan) records the rank's phase boundaries. Every rank of the
+// plan's topology must call it with the same plan.
+func RunPlan(r *mpi.Rank, plan *HierPlan, pt *PhaseTrace) {
+	if plan.Tree.NumRanks() != r.Size() {
 		panic(fmt.Sprintf("coll: plan for %d ranks executed on world of %d",
-			plan.Place.NumRanks(), r.Size()))
+			plan.Tree.NumRanks(), r.Size()))
 	}
 	for pi, ph := range plan.perRank[r.ID()] {
-		if plan.vbytes == nil && len(ph.sends) == 0 && len(ph.recvs) == 0 {
+		start := r.Now()
+		qs := plan.post(r, ph, 0)
+		if len(qs) == 0 {
 			continue
 		}
-		start := r.Now()
-		qs := make([]*mpi.Request, 0, len(ph.sends)+len(ph.recvs))
-		for _, rv := range ph.recvs {
-			if plan.vbytes != nil && plan.vbytes[rv.msgIdx] == 0 {
-				continue
-			}
-			qs = append(qs, r.Irecv(rv.peer, rv.tag))
-		}
-		for _, sd := range ph.sends {
-			b := plan.msgBytesAt(sd.msgIdx, m)
-			if plan.vbytes != nil && b == 0 {
-				continue
-			}
-			qs = append(qs, r.Isend(sd.peer, sd.tag, b))
-		}
 		r.WaitAll(qs...)
-		if pt != nil && len(qs) > 0 {
+		if pt != nil {
 			pt.record(pi, r.ID(), start, r.Now())
 		}
 	}

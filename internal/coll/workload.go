@@ -55,17 +55,45 @@ func (w Workload) Validate(nranks int) error {
 	return nil
 }
 
+// msgBytes is the package's one payload rule: a message carrying blocks
+// is units × scale bytes, and a message of zero units does not exist —
+// neither end posts it. Uniform kinds scale by M: All-to-All counts one
+// unit per block, Allgather one per distinct source (each contribution
+// is forwarded once, however many destinations it is bound for),
+// Reduce-scatter one per distinct destination (same-destination
+// partials combine before they travel), and a relayed kind's message
+// is one unit whatever it covers. All-to-Allv's units are the bytes
+// its blocks owe, at scale 1 — so a uniform M = 0 still sends empty
+// messages and only a matrix's zeros prune. Plan compilation, failover
+// recovery epochs (over their surviving blocks) and the flat kernels
+// (a rank pair being the one-block message) all size through here.
+func (w Workload) msgBytes(blocks ...Block) (bytes int, exists bool) {
+	units, scale := len(blocks), w.M
+	switch {
+	case w.Kind == KindAlltoallv:
+		units, scale = 0, 1
+		for _, b := range blocks {
+			units += w.Sizes.At(b.Src, b.Dst)
+		}
+	case w.Kind == KindAllgather:
+		units = distinct(blocks, func(b Block) int { return b.Src })
+	case w.Kind == KindReduceScatter:
+		units = distinct(blocks, func(b Block) int { return b.Dst })
+	case w.Kind.relayed():
+		units = min(units, 1)
+	}
+	return units * scale, units > 0
+}
+
 // RunKindFlat executes the flat (non-hierarchical) kernel of a
 // workload: the baseline the planner prices as FlatDirect. Rooted kinds
-// use rank 0, matching PlanKindTree; alg selects the All-to-All(v)
-// exchange pattern and is ignored by the other kinds. The workload must
-// have passed Validate for the world's rank count.
+// use rank 0, matching Compile; alg selects the All-to-All(v) exchange
+// pattern and is ignored by the other kinds. The workload must have
+// passed Validate for the world's rank count.
 func RunKindFlat(r *mpi.Rank, w Workload, alg Algorithm) {
 	switch w.Kind {
-	case KindAlltoall:
-		Alltoall(r, w.M, alg)
-	case KindAlltoallv:
-		AlltoallV(r, w.Sizes, alg)
+	case KindAlltoall, KindAlltoallv:
+		alltoall(r, w, alg)
 	case KindAllgather:
 		Allgather(r, w.M)
 	case KindBroadcast:

@@ -492,7 +492,7 @@ func specFor(topo cluster.TopoNode, choices []CoordChoice) coll.TreeSpec {
 // PlanSpec returns the coll topology spec of a grid built from the
 // planner's topology, with any selected coordinators annotated (leaf
 // coordinator sets plus the inner-tier follow-through; see specFor).
-// Compile it with coll.PlanHierTree to run the planner's chosen plan;
+// Compile it with coll.Compile to run the planner's chosen plan;
 // before SelectCoordinators it describes the lowest-rank default.
 func (pl *Planner) PlanSpec() coll.TreeSpec {
 	return specFor(pl.Topo, pl.Selected)

@@ -30,15 +30,15 @@ const (
 // delivery stays exactly-once among survivors, verified against the
 // kind's own block universe (coll.FailoverRun). Declarations and epochs
 // land on the collector as events inside a failover.run span.
-func runFailover(g *cluster.Grid, topoName string, plan *coll.HierPlan, w coll.Workload, sr SimRun, counter string) (RunResult, error) {
-	c, fs := sr.Trace, *sr.Faults
+func runFailover(g *cluster.Grid, topoName string, plan *coll.HierPlan, sr SimRun, counter string) (RunResult, error) {
+	c, fs, w := sr.Trace, *sr.Faults, plan.Workload
 	if err := g.Env.Net.ApplyFaults(fs); err != nil {
 		return RunResult{}, err
 	}
 	g.Env.Net.AttachCollector(c)
 	sp := c.Span(SpanFailover, obs.Str("topo", topoName), obs.Str("kind", w.Kind.String()),
 		obs.Int("m", w.M), obs.Int("link_faults", len(fs.Links)), obs.Int("node_faults", len(fs.Nodes)))
-	fr := coll.NewFailoverRun(plan, w.M, coll.FailoverConfig{
+	fr := coll.NewFailoverRun(plan, coll.FailoverConfig{
 		Timeout: sr.Timeout,
 		IsDead: func(rank int) bool {
 			return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now())

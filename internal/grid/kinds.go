@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Per-kind planning: the collective suite (coll.PlanKindTree) through
+// Per-kind planning: the collective suite (coll.Kind) through
 // the planner pipeline. Every kind reuses the planner's fitted
 // ingredients — tier transfer curves, γ_wan, the κ incast factor, probed
 // coordinator headroom — via the model's one prediction entry

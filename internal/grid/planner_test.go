@@ -332,7 +332,10 @@ func TestPlannerHomogeneousSelectionKeepsDefault(t *testing.T) {
 		}
 	}
 	// PlanSpec still compiles to the default lowest-rank plan.
-	plan := coll.PlanHierTree(pl.PlanSpec(), coll.HierGather)
+	plan, err := coll.Compile(pl.PlanSpec(), coll.Uniform(coll.KindAlltoall, m), coll.HierGather)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for l := 0; l < plan.Tree.NumLeaves(); l++ {
 		coords := plan.Tree.Coordinators(l)
 		members := plan.Tree.LeafMembers(l)

@@ -133,23 +133,16 @@ func run(topo cluster.TopoNode, w coll.Workload, strat Strategy, sr SimRun, coun
 	if sr.Spec != nil {
 		spec = *sr.Spec
 	}
-	var plan *coll.HierPlan
-	if w.Kind == coll.KindAlltoallv {
-		plan = coll.PlanHierTree(spec, alg)
-	} else {
-		plan = coll.PlanKindTree(spec, w.Kind, alg)
+	plan, err := coll.Compile(spec, w, alg)
+	if err != nil {
+		return RunResult{}, err
 	}
-	if plan.Place.NumRanks() != len(g.Env.Hosts) {
+	if plan.Tree.NumRanks() != len(g.Env.Hosts) {
 		return RunResult{}, fmt.Errorf("grid: plan spec covers %d ranks, topology has %d",
-			plan.Place.NumRanks(), len(g.Env.Hosts))
-	}
-	if w.Kind == coll.KindAlltoallv {
-		if err := plan.BindSizes(w.Sizes); err != nil {
-			return RunResult{}, err
-		}
+			plan.Tree.NumRanks(), len(g.Env.Hosts))
 	}
 	if sr.Faults != nil {
-		return runFailover(g, topo.Name, plan, w, sr, counter)
+		return runFailover(g, topo.Name, plan, sr, counter)
 	}
 
 	// The trace format is decided here and nowhere else: All-to-All(v)
@@ -167,7 +160,7 @@ func run(topo cluster.TopoNode, w coll.Workload, strat Strategy, sr SimRun, coun
 		}
 	}
 	res := RunResult{T: measureEnv(c, counter, g.Env, sr.Warmup, sr.Reps, func(r *mpi.Rank) {
-		coll.RunPlan(r, plan, w.M, pt)
+		coll.RunPlan(r, plan, pt)
 	})}
 	if !sr.Phases {
 		return res, nil

@@ -60,10 +60,13 @@ func TestRunFieldEquivalences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := coll.PlanHierTree(coll.GridSpec(g), coll.HierGather)
+		plan, err := coll.Compile(coll.GridSpec(g), uniform, coll.HierGather)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var end sim.Time
 		mpi.NewWorld(g.Env, mpi.Config{}).Run(func(r *mpi.Rank) {
-			coll.RunPlan(r, plan, m, nil)
+			coll.RunPlan(r, plan, nil)
 			if r.Now() > end {
 				end = r.Now()
 			}
@@ -84,10 +87,9 @@ func TestRunFieldEquivalences(t *testing.T) {
 		check func(t *testing.T, strat Strategy, res RunResult, c *obs.Collector)
 	}{
 		{
-			// The grid-level twin of coll's
-			// TestAlltoallHierPlannedVUniformMatchesUniform: a uniform
-			// matrix is the uniform exchange, through the flat kernel and
-			// both plans.
+			// The grid-level twin of coll's TestCompilePins uniform-matrix
+			// rows: a uniform matrix is the uniform exchange, through the
+			// flat kernel and both plans.
 			name: "irregular-uniform-matrix", strats: Strategies,
 			w: coll.Irregular(coll.UniformSizeMatrix(n, m)), sr: base,
 		},
@@ -219,6 +221,12 @@ func TestRunRejectsByName(t *testing.T) {
 	n := topo.TotalNodes()
 	ok := coll.Uniform(coll.KindAlltoall, 1<<10)
 	spec := coll.TreeSpec{}
+	// The topology is two clusters of three; each malformed plan spec
+	// breaks one rule of coll.TreeSpec.
+	planSpec := func(a, b coll.TreeSpec) *coll.TreeSpec {
+		return &coll.TreeSpec{Children: []coll.TreeSpec{a, b}}
+	}
+	lo, hi := coll.TreeSpec{Ranks: []int{0, 1, 2}}, coll.TreeSpec{Ranks: []int{3, 4, 5}}
 	for _, tc := range []struct {
 		name  string
 		w     coll.Workload
@@ -242,6 +250,16 @@ func TestRunRejectsByName(t *testing.T) {
 		{"faults-zero-m", coll.Uniform(coll.KindAlltoall, 0), HierGather, SimRun{Faults: &netsim.FaultSchedule{}}, "positive Workload.M"},
 		{"faults-with-phases", ok, HierGather, SimRun{Faults: &netsim.FaultSchedule{}, Phases: true}, "SimRun.Phases"},
 		{"faults-with-reps", ok, HierGather, SimRun{Faults: &netsim.FaultSchedule{}, Reps: 2}, "Reps"},
+		{"spec-rank-twice", ok, HierGather, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: []int{0, 4, 5}})}, "rank 0 appears twice"},
+		{"spec-rank-out-of-range", ok, HierGather, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: []int{3, 4, 6}})}, "rank 6 outside dense range"},
+		{"spec-ranks-and-children", ok, HierDirect, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: []int{3, 4, 5}, Children: []coll.TreeSpec{hi}})}, "both ranks and children"},
+		{"spec-empty-node", ok, HierDirect, SimRun{Spec: planSpec(lo, coll.TreeSpec{})}, "neither ranks nor children"},
+		{"spec-foreign-coordinator", ok, HierGather, SimRun{Spec: planSpec(coll.TreeSpec{Ranks: lo.Ranks, Coords: []int{5}}, hi)}, "coordinator 5 is not a rank of its subtree"},
+		{"spec-coordinator-twice", ok, HierGather, SimRun{Spec: planSpec(coll.TreeSpec{Ranks: lo.Ranks, Coords: []int{1, 1}}, hi)}, "coordinator 1 named twice"},
+		{"spec-foreign-standby", coll.Uniform(coll.KindAllreduce, 8), HierGather, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: hi.Ranks, Standbys: []int{0}})}, "standby 0 is not a rank of its subtree"},
+		{"spec-too-small", ok, HierGather, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: []int{3, 4}})}, "plan spec covers 5 ranks, topology has 6"},
+		{"spec-too-small-alltoallv", coll.Irregular(coll.NewSizeMatrix(n)), HierGather, SimRun{Spec: planSpec(lo, coll.TreeSpec{Ranks: []int{3, 4}})}, "ranks"},
+		{"spec-malformed-under-faults", ok, HierGather, SimRun{Spec: planSpec(lo, lo), Faults: &netsim.FaultSchedule{}}, "appears twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(topo, tc.w, tc.strat, tc.sr)

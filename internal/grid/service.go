@@ -318,7 +318,7 @@ type Replan struct {
 	// Choices is the post-refit coordinator selection.
 	Choices []CoordChoice
 	// Spec is the post-refit plan spec (coordinators and standbys
-	// annotated), ready for coll.PlanHierTree.
+	// annotated), ready for coll.Compile.
 	Spec coll.TreeSpec
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Per-kind pieces of GridModel.Predict. The collective suite
-// (internal/coll, PlanKindTree) reuses the hierarchical plan machinery
+// (internal/coll, Compile) reuses the hierarchical plan machinery
 // across Allgather, Broadcast, Reduce, Reduce-scatter, and Allreduce,
 // and the model prices each kind with the same fitted ingredients the
 // All-to-All model uses — the per-tier transfer curves, the κ incast
@@ -81,7 +81,7 @@ func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 	panic(fmt.Sprintf("model: no flat prediction for %v", kind))
 }
 
-// rootedHier prices the delegate relay PlanKindTree compiles for the
+// rootedHier prices the delegate relay coll.Compile builds for the
 // rooted kinds.
 func (g GridModel) rootedHier(kind coll.Kind, m int, tr *obs.Collector) float64 {
 	switch kind {
