@@ -1,19 +1,10 @@
 package exp
 
 import (
-	"math"
-
 	"repro/internal/cluster"
-	"repro/internal/coll"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
-
-// simRun is the ground-truth run every grid experiment validates
-// against: packet-level, cfg's repetitions, the default plan.
-func (cfg Config) simRun(seed int64) grid.SimRun {
-	return grid.SimRun{Seed: seed, Warmup: cfg.Warmup, Reps: cfg.Reps}
-}
 
 // GR1: the multi-cluster grid extension. A two-cluster Gigabit Ethernet
 // grid over a 20 ms WAN runs All-to-All under three strategies (flat
@@ -36,13 +27,7 @@ func init() {
 			nodesPer := scaleCount(6, cfg.Scale, 6)
 			topo := cluster.Uniform("gr1", p, 2, nodesPer, cluster.DefaultWAN(20*sim.Millisecond)).Tree()
 
-			pl, err := grid.NewPlanner(topo, grid.Options{
-				FitN:    scaleCount(8, cfg.Scale, 8),
-				SimMode: cfg.SimMode,
-				Trace:   cfg.Trace,
-				Reps:    cfg.Reps,
-				Seed:    cfg.Seed + 2,
-			})
+			pl, err := grid.NewPlanner(topo, cfg.plannerOpts(8, 2))
 			if err != nil {
 				res.Note("planner characterization failed: %v", err)
 				return res
@@ -53,61 +38,21 @@ func init() {
 			// Both clusters share one profile, so one signature line.
 			res.Note("cluster signature: %s", pl.Model.Leaves()[0].LAN)
 
-			s := Series{
-				Name: "pred-vs-sim",
-				Cols: []string{"msg_bytes", "strat_idx", "predicted_s", "simulated_s", "err_pct"},
-			}
-			agree := 0
-			sizes := []int{16 << 10, 32 << 10, 48 << 10, 64 << 10}
-			for i := range sizes {
-				sizes[i] = scaleSize(sizes[i], cfg.Scale/0.25) // sized for the CI default
-			}
-			sizes = dedupInts(sizes)
-			for _, m := range sizes {
-				preds := pl.Predict(m)
-				predOf := map[grid.Strategy]float64{}
-				for _, pr := range preds {
-					predOf[pr.Strategy] = pr.T
-				}
-				simBest, simBestT := grid.Strategy(-1), math.Inf(1)
-				for _, strat := range grid.Strategies {
-					// Average over two seeds: single runs of lossy TCP
-					// over a WAN are RTO-noisy.
-					simT := 0.0
-					simErr := false
-					for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-						one, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, m), strat, cfg.simRun(seed))
-						if err != nil {
-							res.Note("m=%d %v: simulation failed: %v", m, strat, err)
-							simErr = true
-							break
-						}
-						simT += one.T / 2
-					}
-					if simErr {
-						continue
-					}
-					pred := predOf[strat]
-					errPct := 100 * (pred/simT - 1)
-					s.Rows = append(s.Rows, []float64{
-						float64(m), float64(strat), pred, simT, errPct,
-					})
-					if simT < simBestT {
-						simBest, simBestT = strat, simT
-					}
-				}
-				best := preds[0]
-				if best.Strategy == simBest {
-					agree++
-					res.Note("m=%d: planner and simulation agree on %v", m, best.Strategy)
-				} else {
-					res.Note("m=%d: planner picked %v, simulation preferred %v", m, best.Strategy, simBest)
-				}
-			}
-			res.Series = append(res.Series, s)
-			res.Note("strategies: 0=flat-direct 1=hier-gather 2=hier-direct")
-			res.Note("planner/simulation best-strategy agreement: %d/%d sizes", agree, len(sizes))
+			sizeSweep(cfg, &res, pl, topo, "pred-vs-sim", 16<<10, 32<<10, 48<<10, 64<<10)
 			return res
 		},
 	})
+}
+
+// sizeSweep is the validation half GR1 and GR2 share: the uniform
+// All-to-All message-size sweep through gridSweep with exact-argmin
+// agreement, the strategy legend and the per-size agreement tally.
+func sizeSweep(cfg Config, res *Result, pl *grid.Planner, topo cluster.TopoNode, series string, sizes ...int) {
+	sw := gridSweep{cfg: cfg, res: res, rows: Series{
+		Name: series,
+		Cols: []string{"msg_bytes", "strat_idx", "predicted_s", "simulated_s", "err_pct"},
+	}}
+	sw.run(pl, topo, nil, nil, alltoallCases(cfg, sizes...))
+	sw.publish()
+	sw.noteAgreement("planner/simulation best-strategy agreement: %d/%d sizes")
 }

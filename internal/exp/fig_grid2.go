@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"math"
-
 	"repro/internal/cluster"
-	"repro/internal/coll"
 	"repro/internal/grid"
 	"repro/internal/sim"
 )
@@ -33,13 +30,7 @@ func init() {
 			topo := cluster.ThreeLevel("gr2", p, 2, 2, nodesPer,
 				cluster.DefaultWAN(10*sim.Millisecond), cluster.DefaultWAN(40*sim.Millisecond))
 
-			pl, err := grid.NewPlanner(topo, grid.Options{
-				FitN:    scaleCount(6, cfg.Scale, 6),
-				SimMode: cfg.SimMode,
-				Trace:   cfg.Trace,
-				Reps:    cfg.Reps,
-				Seed:    cfg.Seed + 2,
-			})
+			pl, err := grid.NewPlanner(topo, cfg.plannerOpts(6, 2))
 			if err != nil {
 				res.Note("planner characterization failed: %v", err)
 				return res
@@ -54,60 +45,7 @@ func init() {
 			// All campuses share one profile, so one signature line.
 			res.Note("cluster signature: %s", pl.Model.Leaves()[0].LAN)
 
-			s := Series{
-				Name: "pred-vs-sim-3lvl",
-				Cols: []string{"msg_bytes", "strat_idx", "predicted_s", "simulated_s", "err_pct"},
-			}
-			agree := 0
-			sizes := []int{48 << 10, 64 << 10, 80 << 10}
-			for i := range sizes {
-				sizes[i] = scaleSize(sizes[i], cfg.Scale/0.25) // sized for the CI default
-			}
-			sizes = dedupInts(sizes)
-			for _, m := range sizes {
-				preds := pl.Predict(m)
-				predOf := map[grid.Strategy]float64{}
-				for _, pr := range preds {
-					predOf[pr.Strategy] = pr.T
-				}
-				simBest, simBestT := grid.Strategy(-1), math.Inf(1)
-				for _, strat := range grid.Strategies {
-					// Average over two seeds: single runs of lossy TCP
-					// over a WAN are RTO-noisy.
-					simT := 0.0
-					simErr := false
-					for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-						one, err := grid.Run(topo, coll.Uniform(coll.KindAlltoall, m), strat, cfg.simRun(seed))
-						if err != nil {
-							res.Note("m=%d %v: simulation failed: %v", m, strat, err)
-							simErr = true
-							break
-						}
-						simT += one.T / 2
-					}
-					if simErr {
-						continue
-					}
-					pred := predOf[strat]
-					errPct := 100 * (pred/simT - 1)
-					s.Rows = append(s.Rows, []float64{
-						float64(m), float64(strat), pred, simT, errPct,
-					})
-					if simT < simBestT {
-						simBest, simBestT = strat, simT
-					}
-				}
-				best := preds[0]
-				if best.Strategy == simBest {
-					agree++
-					res.Note("m=%d: planner and simulation agree on %v", m, best.Strategy)
-				} else {
-					res.Note("m=%d: planner picked %v, simulation preferred %v", m, best.Strategy, simBest)
-				}
-			}
-			res.Series = append(res.Series, s)
-			res.Note("strategies: 0=flat-direct 1=hier-gather 2=hier-direct")
-			res.Note("planner/simulation best-strategy agreement: %d/%d sizes", agree, len(sizes))
+			sizeSweep(cfg, &res, pl, topo, "pred-vs-sim-3lvl", 48<<10, 64<<10, 80<<10)
 			return res
 		},
 	})

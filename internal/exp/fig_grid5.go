@@ -2,13 +2,11 @@ package exp
 
 import (
 	"math"
-	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // scalarized returns a copy of a grid model with every factor curve
@@ -60,126 +58,42 @@ func init() {
 			cfg = cfg.withDefaults()
 			res := Result{ID: "GR5", Title: "Factor curves: magnitude error vs the scalar-factor baseline"}
 
-			ge := cluster.WANTuned(cluster.GigabitEthernet())
-			topos := []struct {
-				name string
-				topo cluster.TopoNode
-			}{
-				{"2lvl-2x4-wan20", cluster.Uniform("gr5-2lvl", ge, 2,
-					scaleCount(4, cfg.Scale/0.25, 4), cluster.DefaultWAN(20*sim.Millisecond)).Tree()},
-				{"3lvl-2x2x2-wan10/40", cluster.ThreeLevel("gr5-3lvl", ge, 2, 2,
-					scaleCount(2, cfg.Scale/0.25, 2),
-					cluster.DefaultWAN(10*sim.Millisecond), cluster.DefaultWAN(40*sim.Millisecond))},
-			}
-
-			s := Series{
+			sw := gridSweep{cfg: cfg, res: &res, rows: Series{
 				Name: "curve-vs-scalar",
 				Cols: []string{"topo_idx", "pattern_idx", "strat_idx",
 					"pred_scalar_s", "pred_curve_s", "simulated_s",
 					"err_scalar_pct", "err_curve_pct"},
-			}
-			agree, total := 0, 0
+			}}
+			const patternCol, stratCol, errScalarCol, errCurveCol = 1, 2, 6, 7
 			var scalarAbs, curveAbs []float64
-			for ti, tc := range topos {
-				pl, err := grid.NewPlanner(tc.topo, grid.Options{
-					FitN:    scaleCount(6, cfg.Scale, 6),
-					SimMode: cfg.SimMode,
-					Trace:   cfg.Trace,
-					Reps:    cfg.Reps,
-					Seed:    cfg.Seed + 2,
-				})
-				if err != nil {
-					res.Note("%s: planner characterization failed: %v", tc.name, err)
-					continue
-				}
+			forValidationPair(cfg, &res, "gr5", func(ti int, tc namedTopo, pl *grid.Planner) {
 				scalar := scalarized(pl.Model, 64<<10) // the GR4 baseline
 				res.Note("%s scalar: γ_wan(root)=[%s] ω=[%s] κ=[%s]", tc.name,
 					scalar.Root.Wan.Gamma, scalar.OverlapGamma, scalar.GatherGamma)
 				res.Note("%s curves: γ_wan(root)=[%s] ω=[%s] κ=[%s]", tc.name,
 					pl.Model.Root.Wan.Gamma, pl.Model.OverlapGamma, pl.Model.GatherGamma)
 
-				workloads := cluster.SkewedWorkloads(tc.topo)
-				names := make([]string, 0, len(workloads))
-				for name := range workloads {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for pi, name := range names {
-					sz := coll.SizeMatrixFromRows(workloads[name])
-					scalarOf := map[grid.Strategy]float64{}
-					for _, strat := range grid.Strategies {
-						scalarOf[strat] = scalar.Predict(coll.Irregular(sz), strat, cfg.Trace)
-					}
-					preds := pl.PredictV(sz)
-					curveOf := map[grid.Strategy]float64{}
-					for _, pr := range preds {
-						curveOf[pr.Strategy] = pr.T
-					}
-					simBest, simBestT := grid.Strategy(-1), math.Inf(1)
-					for _, strat := range grid.Strategies {
-						// Average over two seeds: single runs of lossy
-						// TCP over a WAN are RTO-noisy.
-						simT := 0.0
-						simErr := false
-						for _, seed := range []int64{cfg.Seed + 6, cfg.Seed + 18} {
-							one, err := grid.Run(tc.topo, coll.Irregular(sz), strat, cfg.simRun(seed))
-							if err != nil {
-								res.Note("%s %s %v: simulation failed: %v", tc.name, name, strat, err)
-								simErr = true
-								break
-							}
-							simT += one.T / 2
-						}
-						if simErr {
-							continue
-						}
-						errS := 100 * (scalarOf[strat]/simT - 1)
-						errC := 100 * (curveOf[strat]/simT - 1)
-						scalarAbs = append(scalarAbs, math.Abs(errS))
-						curveAbs = append(curveAbs, math.Abs(errC))
-						s.Rows = append(s.Rows, []float64{
-							float64(ti), float64(pi), float64(strat),
-							scalarOf[strat], curveOf[strat], simT, errS, errC,
-						})
-						if simT < simBestT {
-							simBest, simBestT = strat, simT
-						}
-						// The two cases GR4 flags as scalar drift: both on
-						// the two-level topology, both hier-direct.
-						if ti == 0 && strat == grid.HierDirect {
-							res.Note("%s %s %v (GR4-flagged): |err| scalar %.0f%% → curve %.0f%%",
-								tc.name, name, strat, math.Abs(errS), math.Abs(errC))
-						}
-					}
-					if math.IsInf(simBestT, 1) {
-						res.Note("%s %s: no successful simulations, case skipped", tc.name, name)
-						continue
-					}
-					total++
-					if preds[0].Strategy == simBest {
-						agree++
-					} else {
-						res.Note("%s %s: curve planner picked %v, simulation preferred %v",
-							tc.name, name, preds[0].Strategy, simBest)
+				cases := skewedCases(ti, tc)
+				first := len(sw.rows.Rows)
+				sw.run(pl, tc.topo, nil, func(w coll.Workload, strat grid.Strategy) float64 {
+					return scalar.Predict(w, strat, cfg.Trace)
+				}, cases)
+				for _, row := range sw.rows.Rows[first:] {
+					errS, errC := math.Abs(row[errScalarCol]), math.Abs(row[errCurveCol])
+					scalarAbs, curveAbs = append(scalarAbs, errS), append(curveAbs, errC)
+					// The two cases GR4 flags as scalar drift: both on the
+					// two-level topology, both hier-direct.
+					if strat := grid.Strategy(row[stratCol]); ti == 0 && strat == grid.HierDirect {
+						res.Note("%s %v (GR4-flagged): |err| scalar %.0f%% → curve %.0f%%",
+							cases[int(row[patternCol])].label, strat, errS, errC)
 					}
 				}
-			}
-			res.Series = append(res.Series, s)
-			mean := func(v []float64) float64 {
-				if len(v) == 0 {
-					return 0
-				}
-				t := 0.0
-				for _, x := range v {
-					t += x
-				}
-				return t / float64(len(v))
-			}
-			res.Note("strategies: 0=flat-direct 1=hier-gather 2=hier-direct")
-			res.Note("patterns: 0=block-diagonal (16k local / 64k cross) 1=hotspot-row (48k base, rank 0 ×4)")
+			})
+			sw.publish()
+			res.Note(skewedPatterns)
 			res.Note("mean |err|: scalar %.0f%% vs curves %.0f%% over %d (topology, matrix, strategy) rows",
-				mean(scalarAbs), mean(curveAbs), len(scalarAbs))
-			res.Note("curve-planner/simulation best-strategy agreement: %d/%d cases", agree, total)
+				stats.Mean(scalarAbs), stats.Mean(curveAbs), len(scalarAbs))
+			sw.noteAgreement("curve-planner/simulation best-strategy agreement: %d/%d cases")
 			return res
 		},
 	})

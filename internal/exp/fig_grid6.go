@@ -43,30 +43,10 @@ func init() {
 			if tc == nil {
 				tc = obs.New()
 			}
-			ctr := func(c *obs.Collector, name string) float64 {
-				for _, cv := range c.Counters() {
-					if cv.Name == name {
-						return float64(cv.Value)
-					}
-				}
-				return 0
-			}
-			probes := func() float64 { return ctr(tc, grid.CtrProbes) }
-
-			p := cluster.WANTuned(cluster.GigabitEthernet())
-			p.Name = "gigabit-ethernet-mixed-nics"
-			p.NodeLinkRates = []int64{12_500_000} // rank 0 of each campus on 100 Mb
-			nodesPer := scaleCount(4, cfg.Scale/0.25, 3)
-			topo := cluster.ThreeLevel("gr6", p, 2, 2, nodesPer,
-				cluster.DefaultWAN(10*sim.Millisecond), cluster.DefaultWAN(40*sim.Millisecond))
-
-			svc, err := grid.NewService(grid.Options{
-				FitN:    scaleCount(6, cfg.Scale, 6),
-				SimMode: cfg.SimMode,
-				Trace:   tc,
-				Reps:    cfg.Reps,
-				Seed:    cfg.Seed + 4,
-			})
+			topo := heteroGrid("gr6", cfg)
+			opts := cfg.plannerOpts(6, 4)
+			opts.Trace = tc
+			svc, err := grid.NewService(opts)
 			if err != nil {
 				res.Note("service construction failed: %v", err)
 				return res
@@ -77,7 +57,7 @@ func init() {
 				res.Note("coordinator selection failed: %v", err)
 				return res
 			}
-			coldProbes := probes()
+			coldProbes := counterValues(tc)[grid.CtrProbes]
 			pl, err := svc.PlannerFor(topo)
 			if err != nil {
 				res.Note("planner lookup failed: %v", err)
@@ -87,21 +67,10 @@ func init() {
 
 			// Victim: the selected coordinator of the first campus (its
 			// default lowest rank if selection kept the default).
-			var firstLeaf *coll.TreeSpec
-			var walk func(t *coll.TreeSpec)
-			walk = func(t *coll.TreeSpec) {
-				if firstLeaf != nil {
-					return
-				}
-				if len(t.Children) == 0 {
-					firstLeaf = t
-					return
-				}
-				for i := range t.Children {
-					walk(&t.Children[i])
-				}
+			firstLeaf := &spec
+			for len(firstLeaf.Children) > 0 {
+				firstLeaf = &firstLeaf.Children[0]
 			}
-			walk(&spec)
 			victim := firstLeaf.Ranks[0]
 			if len(firstLeaf.Coords) > 0 {
 				victim = firstLeaf.Coords[0]
@@ -155,26 +124,28 @@ func init() {
 			// its characterized rate (100 Mb -> 10 Mb). The replan must
 			// refit only that campus — every other tier's curves come
 			// warm from the store.
-			degP := p
-			degP.Name = p.Name + "-deg0"
+			campus := topo.Children[0].Children[0]
+			degP := campus.Profile
+			degP.Name += "-deg0"
 			degP.NodeLinkRates = []int64{1_250_000}
 			degTopo := topo
 			degTopo.Children = append([]cluster.TopoNode(nil), topo.Children...)
 			n0 := degTopo.Children[0]
 			n0.Children = append([]cluster.TopoNode(nil), n0.Children...)
-			n0.Children[0] = cluster.Leaf(degP, nodesPer)
+			n0.Children[0] = cluster.Leaf(degP, campus.Nodes)
 			degTopo.Children[0] = n0
 
-			preProbes, preHits, preRefits := probes(), ctr(tc, grid.CtrStoreHit), ctr(tc, grid.CtrStoreRefit)
-			rep, err := svc.ReportDelta(degTopo, grid.TierKey(topo.Children[0].Children[0]),
+			pre := counterValues(tc)
+			rep, err := svc.ReportDelta(degTopo, grid.TierKey(campus),
 				grid.Delta{RateFactor: 0.1, Size: m, Source: "gr6-nic-monitor"})
 			if err != nil {
 				res.Note("replan failed: %v", err)
 				return res
 			}
-			replanProbes := probes() - preProbes
-			replanHits := ctr(tc, grid.CtrStoreHit) - preHits
-			replanRefits := ctr(tc, grid.CtrStoreRefit) - preRefits
+			post := counterValues(tc)
+			replanProbes := post[grid.CtrProbes] - pre[grid.CtrProbes]
+			replanHits := post[grid.CtrStoreHit] - pre[grid.CtrStoreHit]
+			replanRefits := post[grid.CtrStoreRefit] - pre[grid.CtrStoreRefit]
 
 			// The probe ceiling: a from-scratch characterization of the
 			// changed grid (no store), coordinator selection included —
@@ -182,14 +153,8 @@ func init() {
 			// The initial build is NOT a fair ceiling because its four
 			// identical campuses dedupe to one tier characterization; the
 			// degraded grid has two distinct campus tiers.
-			coldTc := obs.New()
-			coldPl, err := grid.NewPlanner(degTopo, grid.Options{
-				FitN:    scaleCount(6, cfg.Scale, 6),
-				SimMode: cfg.SimMode,
-				Trace:   coldTc,
-				Reps:    cfg.Reps,
-				Seed:    cfg.Seed + 4,
-			})
+			opts.Trace = obs.New()
+			coldPl, err := grid.NewPlanner(degTopo, opts)
 			if err != nil {
 				res.Note("cold degraded build failed: %v", err)
 				return res
@@ -198,19 +163,14 @@ func init() {
 				res.Note("cold degraded selection failed: %v", err)
 				return res
 			}
-			coldDegProbes := ctr(coldTc, grid.CtrProbes)
+			coldDegProbes := counterValues(opts.Trace)[grid.CtrProbes]
 
 			rp := Series{
 				Name: "replan-on-delta",
 				Cols: []string{"initial_probes", "cold_rebuild_probes", "replan_probes",
 					"dropped_records", "store_hits", "store_refits", "nondefault_choices"},
 			}
-			nonDefault := 0
-			for _, c := range rep.Choices {
-				if !c.Default {
-					nonDefault++
-				}
-			}
+			nonDefault := countNonDefault(rep.Choices)
 			rp.Rows = append(rp.Rows, []float64{
 				coldProbes, coldDegProbes, replanProbes,
 				float64(rep.DroppedRecords), replanHits, replanRefits, float64(nonDefault),
@@ -231,16 +191,4 @@ func init() {
 			return res
 		},
 	})
-}
-
-// countNonDefault tallies coordinator choices that moved off the
-// lowest-rank default.
-func countNonDefault(choices []grid.CoordChoice) int {
-	n := 0
-	for _, c := range choices {
-		if !c.Default {
-			n++
-		}
-	}
-	return n
 }
