@@ -21,19 +21,18 @@ import (
 
 const probeTag int32 = 7000
 
+// smallSizes are the ping-pong sizes α is read from; never modified.
+var smallSizes = []int{1, 64, 256, 1024}
+
 // PingPongConfig tunes the Hockney calibration.
 type PingPongConfig struct {
 	Reps       int   // ping-pongs per size (default 10)
-	SmallSizes []int // sizes used for α (default 1, 64, 256, 1024)
 	LargeSizes []int // sizes used for β (default 128k..1M)
 }
 
 func (c PingPongConfig) withDefaults() PingPongConfig {
 	if c.Reps == 0 {
 		c.Reps = 10
-	}
-	if len(c.SmallSizes) == 0 {
-		c.SmallSizes = []int{1, 64, 256, 1024}
 	}
 	if len(c.LargeSizes) == 0 {
 		c.LargeSizes = []int{128 << 10, 256 << 10, 512 << 10, 1 << 20}
@@ -49,7 +48,7 @@ func PingPong(p cluster.Profile, mcfg mpi.Config, seed int64, cfg PingPongConfig
 	cl := cluster.Build(p, 2, seed)
 	w := mpi.NewWorld(cl, mcfg)
 
-	allSizes := append(append([]int{}, cfg.SmallSizes...), cfg.LargeSizes...)
+	allSizes := append(append([]int{}, smallSizes...), cfg.LargeSizes...)
 	oneWay := make(map[int][]float64, len(allSizes))
 
 	w.Run(func(r *mpi.Rank) {
@@ -84,7 +83,7 @@ func PingPong(p cluster.Profile, mcfg mpi.Config, seed int64, cfg PingPongConfig
 	}
 	// α from small-message residuals.
 	var alphas []float64
-	for _, m := range cfg.SmallSizes {
+	for _, m := range smallSizes {
 		a := stats.Mean(oneWay[m]) - beta*float64(m)
 		if a > 0 {
 			alphas = append(alphas, a)
@@ -92,7 +91,7 @@ func PingPong(p cluster.Profile, mcfg mpi.Config, seed int64, cfg PingPongConfig
 	}
 	alpha := stats.Mean(alphas)
 	if alpha <= 0 {
-		alpha = stats.Mean(oneWay[cfg.SmallSizes[0]])
+		alpha = stats.Mean(oneWay[smallSizes[0]])
 	}
 	return model.Hockney{Alpha: alpha, Beta: beta}
 }
@@ -125,9 +124,6 @@ func (r ProbeResult) AvgBandwidth() float64 {
 	}
 	return s / float64(len(r.Times))
 }
-
-// GapPerByte converts a completion time to a Hockney-style gap (s/B).
-func (r ProbeResult) GapPerByte(t float64) float64 { return t / float64(r.Size) }
 
 // SaturationProbe opens conns point-to-point connections between random
 // host pairs (reusing hosts, as happens when flooding a cluster) and
@@ -182,8 +178,8 @@ func SaturationProbe(p cluster.Profile, mcfg mpi.Config, nodes, conns, size int,
 // from the straggler tail — the p95 connection — because the contended
 // gap the paper measures is the cost of the delayed connections).
 func ExtractBetas(single, saturated ProbeResult) (betaF, betaC float64) {
-	betaF = single.GapPerByte(stats.Min(single.Times))
-	betaC = saturated.GapPerByte(stats.Quantile(saturated.Times, 0.95))
+	betaF = stats.Min(single.Times) / float64(single.Size)
+	betaC = stats.Quantile(saturated.Times, 0.95) / float64(saturated.Size)
 	return betaF, betaC
 }
 

@@ -139,8 +139,8 @@ func InfiniBandLike() Profile {
 	}
 }
 
-// Profiles returns the canonical evaluation profiles keyed by name.
-func Profiles() map[string]Profile {
+// profiles returns the canonical evaluation profiles keyed by name.
+func profiles() map[string]Profile {
 	out := map[string]Profile{}
 	for _, p := range []Profile{FastEthernet(), GigabitEthernet(), Myrinet(), InfiniBandLike()} {
 		out[p.Name] = p
@@ -150,7 +150,7 @@ func Profiles() map[string]Profile {
 
 // ByName returns the named canonical profile.
 func ByName(name string) (Profile, error) {
-	p, ok := Profiles()[name]
+	p, ok := profiles()[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("cluster: unknown profile %q", name)
 	}

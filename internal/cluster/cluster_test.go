@@ -9,7 +9,7 @@ import (
 )
 
 func TestProfilesRegistry(t *testing.T) {
-	ps := Profiles()
+	ps := profiles()
 	for _, name := range []string{"fast-ethernet", "gigabit-ethernet", "myrinet", "infiniband-like"} {
 		p, ok := ps[name]
 		if !ok {

@@ -11,9 +11,9 @@ package cluster
 
 import "fmt"
 
-// UniformBytes returns the regular All-to-All byte matrix of a
+// uniformBytes returns the regular All-to-All byte matrix of a
 // topology: every ordered pair of distinct ranks exchanges base bytes.
-func UniformBytes(t TopoNode, base int) [][]int {
+func uniformBytes(t TopoNode, base int) [][]int {
 	n := t.TotalNodes()
 	rows := emptyRows(n)
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func HotspotRowBytes(t TopoNode, base, hot, factor int) [][]int {
 	if factor < 1 {
 		panic(fmt.Sprintf("cluster: hotspot factor %d < 1", factor))
 	}
-	rows := UniformBytes(t, base)
+	rows := uniformBytes(t, base)
 	for j := 0; j < n; j++ {
 		if j != hot {
 			rows[hot][j] = base * factor

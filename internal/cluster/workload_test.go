@@ -15,7 +15,7 @@ func workloadTestTree() TopoNode {
 }
 
 func TestUniformBytes(t *testing.T) {
-	rows := UniformBytes(workloadTestTree(), 100)
+	rows := uniformBytes(workloadTestTree(), 100)
 	if len(rows) != 7 {
 		t.Fatalf("%d rows, want 7", len(rows))
 	}

@@ -3,8 +3,10 @@
 // exchange with equal message sizes), in the Direct Exchange form the
 // paper models (Algorithm 1, the implementation used by LAM-MPI and
 // MPICH at the time), plus alternative algorithms used as ablation
-// baselines, and the auxiliary collectives referenced by the related
-// work (Scatter, Gather, Allgather, Broadcast).
+// baselines, the flat kernels of the other collectives (Allgather,
+// Broadcast, Reduce, Reduce-scatter, Allreduce), and hierarchical plans
+// of every kind over multi-level grid topologies (Compile, RunPlan,
+// FailoverRun).
 package coll
 
 import (
@@ -16,8 +18,6 @@ import (
 // Reserved user-level tag bases, one per collective family.
 const (
 	tagAlltoall  int32 = 1000
-	tagScatter   int32 = 2000
-	tagGather    int32 = 3000
 	tagAllgather int32 = 4000
 	tagBcast     int32 = 5000
 )
@@ -182,33 +182,6 @@ func alltoallPairwise(r *mpi.Rank, m int) {
 	}
 }
 
-// Scatter distributes one m-byte block from root to every other rank
-// (linear algorithm, the shape assumed by the related-work models).
-func Scatter(r *mpi.Rank, root, m int) {
-	if r.ID() == root {
-		for dst := 0; dst < r.Size(); dst++ {
-			if dst != root {
-				r.Send(dst, tagScatter, m)
-			}
-		}
-	} else {
-		r.Recv(root, tagScatter)
-	}
-}
-
-// Gather collects one m-byte block from every rank at root (linear).
-func Gather(r *mpi.Rank, root, m int) {
-	if r.ID() == root {
-		for src := 0; src < r.Size(); src++ {
-			if src != root {
-				r.Recv(src, tagGather)
-			}
-		}
-	} else {
-		r.Send(root, tagGather, m)
-	}
-}
-
 // Allgather runs the ring algorithm: n-1 steps, each passing an m-byte
 // block to the successor.
 func Allgather(r *mpi.Rank, m int) {
@@ -223,8 +196,8 @@ func Allgather(r *mpi.Rank, m int) {
 	}
 }
 
-// Bcast broadcasts an m-byte message from root using a binomial tree.
-func Bcast(r *mpi.Rank, root, m int) {
+// bcast broadcasts an m-byte message from root using a binomial tree.
+func bcast(r *mpi.Rank, root, m int) {
 	n := r.Size()
 	vrank := (r.ID() - root + n) % n
 	// Receive from parent (if not root).

@@ -33,14 +33,14 @@ import (
 //     involving dead ranks. Recovery tags are offset per epoch so the
 //     two plans' messages can never be confused.
 //  4. Ranks execute the recovery plan from phase 0. Further deaths
-//     advance the epoch again, up to MaxEpochs.
+//     advance the epoch again, up to maxEpochs.
 //
 // Delivery is exactly-once at the application level: a block counts as
 // delivered only when its destination rank receives it, each epoch's
 // recovery plan excludes already-delivered blocks, and Verify checks
 // that no block was delivered twice. Blocks whose source or destination
 // died are waived — the collective's semantics cannot be preserved for
-// them. The obligations verified are the plan's Universe, so the same
+// them. The obligations verified are the plan's universe, so the same
 // protocol covers every uniform kind Compile compiles: All-to-All's
 // full pair matrix, Allgather's forwarded contributions, a rooted
 // relay's (src→root) and (root→dst) legs.
@@ -54,11 +54,22 @@ import (
 // epochTagStride separates consecutive epochs in tag space. Plan tags
 // start at tagHier (6000) and grow by small per-pair counts, and the
 // runtime reserves tags at or above 1<<24, so strides of 1<<16 leave
-// room for 256 epochs — far above any MaxEpochs in use.
+// room for 256 epochs — far above maxEpochs.
 const epochTagStride int32 = 1 << 16
 
-// FailoverConfig parameterizes a FailoverRun. The zero value of each
-// field takes a default.
+const (
+	// maxEpochs bounds total epochs (initial + recoveries); a declare
+	// that would exceed it abandons the run as Incomplete.
+	maxEpochs = 8
+	// giveUpAfter bounds consecutive unconfirmed timeouts of a single
+	// phase wait before the run is abandoned as Incomplete — the escape
+	// hatch for a permanently partitioned network where the oracle
+	// confirms no death.
+	giveUpAfter = 64
+)
+
+// FailoverConfig parameterizes a FailoverRun. A zero Timeout takes the
+// default; the function fields are optional.
 type FailoverConfig struct {
 	// Timeout is the per-phase wait deadline after which a rank
 	// consults the failure detector (default 2s of simulated time).
@@ -78,25 +89,11 @@ type FailoverConfig struct {
 	OnDeclare func(rank, epoch int, now sim.Time)
 	// OnEpoch is called when a new epoch opens. Optional.
 	OnEpoch func(epoch int, now sim.Time)
-	// MaxEpochs bounds total epochs (initial + recoveries); a declare
-	// that would exceed it abandons the run as Incomplete (default 8).
-	MaxEpochs int
-	// GiveUpAfter bounds consecutive unconfirmed timeouts of a single
-	// phase wait before the run is abandoned as Incomplete — the escape
-	// hatch for a permanently partitioned network where the oracle
-	// confirms no death (default 64).
-	GiveUpAfter int
 }
 
 func (c FailoverConfig) withDefaults() FailoverConfig {
 	if c.Timeout == 0 {
 		c.Timeout = 2 * sim.Second
-	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 8
-	}
-	if c.GiveUpAfter == 0 {
-		c.GiveUpAfter = 64
 	}
 	return c
 }
@@ -108,7 +105,7 @@ type FailoverResult struct {
 	DeliveredBlocks int   // blocks received at their destination
 	WaivedBlocks    int   // blocks waived because an endpoint died
 	DuplicateBlocks int   // blocks delivered more than once (must be 0)
-	Incomplete      bool  // run abandoned (MaxEpochs or GiveUpAfter hit)
+	Incomplete      bool  // run abandoned (maxEpochs or giveUpAfter hit)
 	// FinishAt is each rank's completion time; zero for ranks that died
 	// or were abandoned.
 	FinishAt []sim.Time
@@ -192,7 +189,7 @@ func NewFailoverRun(plan *HierPlan, cfg FailoverConfig) *FailoverRun {
 		cfg:       cfg.withDefaults(),
 		dead:      make(map[int]bool),
 		delivered: make(map[Block]bool),
-		universe:  plan.Universe(),
+		universe:  plan.universe(),
 		epochs:    []*epochState{{idx: 0, plan: plan}},
 		reqs:      make([]posted, n),
 		finishAt:  make([]sim.Time, n),
@@ -322,7 +319,7 @@ func (fr *FailoverRun) waitPhase(r *mpi.Rank, st *epochState) bool {
 			return false
 		}
 		spurious++
-		if spurious >= fr.cfg.GiveUpAfter {
+		if spurious >= giveUpAfter {
 			fr.failed = true
 			fr.sweepQuench()
 			st.gate.Complete(fr.s)
@@ -352,7 +349,7 @@ func (fr *FailoverRun) sweepQuench() {
 }
 
 // declare records confirmed deaths, quenches their transport, and opens
-// the next epoch (or abandons the run at the MaxEpochs bound). Runs in
+// the next epoch (or abandons the run at the maxEpochs bound). Runs in
 // the detecting rank's coroutine; the epoch gate wakes finished ranks.
 func (fr *FailoverRun) declare(r *mpi.Rank, st *epochState, ranks []int) {
 	now := r.Now()
@@ -366,7 +363,7 @@ func (fr *FailoverRun) declare(r *mpi.Rank, st *epochState, ranks []int) {
 			fr.cfg.OnDeclare(d, st.idx, now)
 		}
 	}
-	if st.idx+1 >= fr.cfg.MaxEpochs {
+	if st.idx+1 >= maxEpochs {
 		fr.failed = true
 		fr.sweepQuench()
 		st.gate.Complete(fr.s)
@@ -545,7 +542,7 @@ func (fr *FailoverRun) Result() FailoverResult {
 }
 
 // Verify checks the run's delivery invariants: every obligation of the
-// plan's Universe between two surviving ranks arrived at its
+// plan's universe between two surviving ranks arrived at its
 // destination exactly once, and nothing arrived twice. It returns nil
 // on success.
 func (fr *FailoverRun) Verify() error {

@@ -99,33 +99,6 @@ type TreeSpec struct {
 	Standbys []int
 }
 
-// WithLeafCoords returns a deep copy of the spec with per-leaf
-// coordinator sets installed in leaf (tree) order. A nil entry keeps
-// that leaf's default; coords shorter than the leaf count leaves the
-// remaining leaves at their defaults.
-func (t TreeSpec) WithLeafCoords(coords [][]int) TreeSpec {
-	li := 0
-	var walk func(s TreeSpec) TreeSpec
-	walk = func(s TreeSpec) TreeSpec {
-		if len(s.Children) == 0 {
-			s.Ranks = append([]int(nil), s.Ranks...)
-			s.Standbys = append([]int(nil), s.Standbys...)
-			if li < len(coords) && len(coords[li]) > 0 {
-				s.Coords = append([]int(nil), coords[li]...)
-			}
-			li++
-			return s
-		}
-		children := make([]TreeSpec, len(s.Children))
-		for i, c := range s.Children {
-			children[i] = walk(c)
-		}
-		s.Children = children
-		return s
-	}
-	return walk(t)
-}
-
 // GridSpec mirrors a built grid into the plan builder's topology spec:
 // the tree shape of the topology with each leaf's assigned rank block.
 func GridSpec(g *cluster.Grid) TreeSpec {
@@ -306,9 +279,6 @@ func (tp TreePlacement) NumRanks() int { return len(tp.leafOf) }
 // NumLeaves returns the number of leaf clusters.
 func (tp TreePlacement) NumLeaves() int { return len(tp.leaves) }
 
-// LeafOf returns the leaf index of rank r.
-func (tp TreePlacement) LeafOf(r int) int { return tp.leafOf[r] }
-
 // LeafMembers returns the ranks of leaf l in ascending order.
 func (tp TreePlacement) LeafMembers(l int) []int { return tp.leaves[l].ranks }
 
@@ -390,7 +360,7 @@ func (p *HierPlan) NumMessages() int { return len(p.msgs) }
 func (p *HierPlan) CrossLeafMessages() int {
 	n := 0
 	for _, m := range p.msgs {
-		if p.Tree.LeafOf(m.from) != p.Tree.LeafOf(m.to) {
+		if p.Tree.leafOf[m.from] != p.Tree.leafOf[m.to] {
 			n++
 		}
 	}

@@ -481,14 +481,14 @@ func TestHierPlanTwoLevelShapePinned(t *testing.T) {
 		var intra, gather, xchg, scatter int
 		for _, m := range p.msgs {
 			switch {
-			case p.Tree.LeafOf(m.from) != p.Tree.LeafOf(m.to):
+			case p.Tree.leafOf[m.from] != p.Tree.leafOf[m.to]:
 				xchg++
 				if len(m.blocks) != 9 {
 					t.Fatalf("%v: exchange carries %d blocks, want 9", p.Alg, len(m.blocks))
 				}
 			case len(m.blocks) == 1:
 				intra++
-			case m.to == p.Tree.Coordinators(p.Tree.LeafOf(m.to))[0]:
+			case m.to == p.Tree.Coordinators(p.Tree.leafOf[m.to])[0]:
 				gather++
 			default:
 				scatter++
@@ -510,7 +510,7 @@ func TestHierPlanAggregation(t *testing.T) {
 		place := plan.Tree
 		cross := map[[2]int]int{}
 		for _, m := range plan.msgs {
-			cf, ct := place.LeafOf(m.from), place.LeafOf(m.to)
+			cf, ct := place.leafOf[m.from], place.leafOf[m.to]
 			if cf != ct {
 				cross[[2]int{cf, ct}]++
 				if m.from != place.Coordinators(cf)[0] || m.to != place.Coordinators(ct)[0] {
@@ -701,7 +701,7 @@ func TestHierPlanNonLowestCoordinatorRouting(t *testing.T) {
 			t.Fatalf("%v: leaf 0 coordinators = %v, want [2]", alg, got)
 		}
 		for _, m := range plan.msgs {
-			if plan.Tree.LeafOf(m.from) == plan.Tree.LeafOf(m.to) {
+			if plan.Tree.leafOf[m.from] == plan.Tree.leafOf[m.to] {
 				continue
 			}
 			if (m.from != 2 && m.from != 4) || (m.to != 2 && m.to != 4) {
@@ -729,7 +729,7 @@ func TestHierPlanMultiCoordinatorSplit(t *testing.T) {
 		// and cluster 2 (owner 3).
 		wantOwner := map[int]int{1: 1, 2: 3}
 		for _, m := range plan.msgs {
-			lf, lt := plan.Tree.LeafOf(m.from), plan.Tree.LeafOf(m.to)
+			lf, lt := plan.Tree.leafOf[m.from], plan.Tree.leafOf[m.to]
 			if lf == lt {
 				continue
 			}
@@ -750,10 +750,10 @@ func TestHierPlanMultiCoordinatorSplit(t *testing.T) {
 		// single port sees the whole incast.
 		gathers := map[[2]int]int{} // (member, owner) -> messages
 		for _, m := range plan.msgs {
-			if plan.Tree.LeafOf(m.from) != 0 || plan.Tree.LeafOf(m.to) != 0 {
+			if plan.Tree.leafOf[m.from] != 0 || plan.Tree.leafOf[m.to] != 0 {
 				continue
 			}
-			if len(m.blocks) > 0 && m.blocks[0].Src == m.from && plan.Tree.LeafOf(m.blocks[0].Dst) != 0 {
+			if len(m.blocks) > 0 && m.blocks[0].Src == m.from && plan.Tree.leafOf[m.blocks[0].Dst] != 0 {
 				gathers[[2]int{m.from, m.to}]++
 			}
 		}
@@ -896,32 +896,6 @@ func TestTreeSpecCoordsValidation(t *testing.T) {
 	}
 }
 
-// TestWithLeafCoords: the helper installs per-leaf coordinator sets in
-// tree order without mutating the receiver.
-func TestWithLeafCoords(t *testing.T) {
-	spec := TreeSpec{Children: []TreeSpec{
-		{Ranks: []int{0, 1, 2}},
-		{Children: []TreeSpec{{Ranks: []int{3, 4}}, {Ranks: []int{5}}}},
-	}}
-	got := spec.WithLeafCoords([][]int{{2}, nil, {5}})
-	if len(spec.Children[0].Coords) != 0 {
-		t.Fatal("WithLeafCoords mutated the receiver")
-	}
-	tp, err := newTreePlacement(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := tp.Coordinators(0); len(c) != 1 || c[0] != 2 {
-		t.Fatalf("leaf 0 coords = %v, want [2]", c)
-	}
-	if c := tp.Coordinators(1); len(c) != 1 || c[0] != 3 {
-		t.Fatalf("leaf 1 coords = %v, want default [3]", c)
-	}
-	if c := tp.Coordinators(2); len(c) != 1 || c[0] != 5 {
-		t.Fatalf("leaf 2 coords = %v, want [5]", c)
-	}
-}
-
 // TestHierAlltoallOnGridWithCoords runs both hierarchical algorithms
 // end-to-end on the mpi runtime with non-default coordinators — a
 // non-lowest single coordinator and a 2-way split wide cluster — and
@@ -934,7 +908,10 @@ func TestHierAlltoallOnGridWithCoords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := GridSpec(g).WithLeafCoords([][]int{{1, 2}, {4}, {8}})
+		spec := GridSpec(g)
+		for i, c := range [][]int{{1, 2}, {4}, {8}} {
+			spec.Children[i].Coords = c
+		}
 		plan := alltoallPlan(t, spec, 20_000, alg)
 		verifyHierPlan(t, plan)
 		w := mpi.NewWorld(g.Env, mpi.Config{})

@@ -85,14 +85,14 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("coll: unknown collective kind %q", s)
 }
 
-// Rooted reports whether the kind has a distinguished root rank
+// rooted reports whether the kind has a distinguished root rank
 // (Broadcast and Reduce; plans fix it at rank 0).
-func (k Kind) Rooted() bool { return k == KindBroadcast || k == KindReduce }
+func (k Kind) rooted() bool { return k == KindBroadcast || k == KindReduce }
 
 // relayed reports whether the kind's plan is the rooted delegate relay
 // (Broadcast, Reduce and their composition Allreduce) rather than the
 // All-to-All-shaped coordinator exchange.
-func (k Kind) relayed() bool { return k.Rooted() || k == KindAllreduce }
+func (k Kind) relayed() bool { return k.rooted() || k == KindAllreduce }
 
 // PlanKindTree is Compile for a uniform kind at M = 0, panicking on the
 // errors Compile returns. It exists because bench/ calls it by name to
@@ -197,10 +197,10 @@ func compileRooted(tp TreePlacement, kind Kind, b *planBuilder) {
 	}
 }
 
-// Universe returns the plan's delivery obligations: the deduplicated
+// universe returns the plan's delivery obligations: the deduplicated
 // union of all carried blocks. For All-to-All this is every ordered
 // rank pair; rooted kinds restrict it to the blocks their flow defines.
-func (p *HierPlan) Universe() []Block {
+func (p *HierPlan) universe() []Block {
 	seen := make(map[Block]bool)
 	var out []Block
 	for _, m := range p.msgs {

@@ -62,7 +62,7 @@ func verifyKindPlan(plan *HierPlan) error {
 	n := plan.Tree.NumRanks()
 	want := wantUniverse(kind, n)
 	got := map[Block]bool{}
-	for _, b := range plan.Universe() {
+	for _, b := range plan.universe() {
 		got[b] = true
 	}
 	if !reflect.DeepEqual(want, got) {

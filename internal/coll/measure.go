@@ -22,34 +22,6 @@ func (m Measurement) Mean() float64 {
 	return sum / float64(len(m.Times))
 }
 
-// Min returns the fastest repetition in seconds.
-func (m Measurement) Min() float64 {
-	if len(m.Times) == 0 {
-		return 0
-	}
-	best := m.Times[0]
-	for _, t := range m.Times[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	return best.Seconds()
-}
-
-// Max returns the slowest repetition in seconds.
-func (m Measurement) Max() float64 {
-	if len(m.Times) == 0 {
-		return 0
-	}
-	worst := m.Times[0]
-	for _, t := range m.Times[1:] {
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst.Seconds()
-}
-
 // Measure times reps executions of op across all ranks of w, separated by
 // barriers, after warmup unmeasured executions (which also warm TCP
 // congestion windows, as the paper's repeated measurements did). The

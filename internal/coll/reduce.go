@@ -14,9 +14,9 @@ const (
 	tagReduceScatter int32 = 6400
 )
 
-// Reduce combines m-byte contributions from all ranks at root using a
+// reduce combines m-byte contributions from all ranks at root using a
 // binomial tree: ceil(log2 n) communication steps, each moving m bytes.
-func Reduce(r *mpi.Rank, root, m int) {
+func reduce(r *mpi.Rank, root, m int) {
 	n := r.Size()
 	if n == 1 {
 		return
@@ -53,14 +53,14 @@ func Allreduce(r *mpi.Rank, m int) {
 		}
 		return
 	}
-	Reduce(r, 0, m)
-	Bcast(r, 0, m)
+	reduce(r, 0, m)
+	bcast(r, 0, m)
 }
 
-// ReduceScatter distributes reduced m-byte blocks (one per rank) via the
+// reduceScatter distributes reduced m-byte blocks (one per rank) via the
 // pairwise-halving pattern for power-of-two n, ring otherwise. Each step
 // of the halving exchange moves half the remaining data.
-func ReduceScatter(r *mpi.Rank, m int) {
+func reduceScatter(r *mpi.Rank, m int) {
 	n := r.Size()
 	if n == 1 {
 		return

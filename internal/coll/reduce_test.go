@@ -13,7 +13,7 @@ func TestReduceCompletes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7, 8, 16} {
 		for _, root := range []int{0, n - 1} {
 			w := world(t, cluster.GigabitEthernet(), n, 21)
-			meas := Measure(w, 0, 1, func(r *mpi.Rank) { Reduce(r, root, 10_000) })
+			meas := Measure(w, 0, 1, func(r *mpi.Rank) { reduce(r, root, 10_000) })
 			if meas.Times[0] <= 0 {
 				t.Fatalf("n=%d root=%d: no time elapsed", n, root)
 			}
@@ -34,7 +34,7 @@ func TestAllreduceCompletesAllShapes(t *testing.T) {
 func TestReduceScatterCompletes(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 5, 6} {
 		w := world(t, cluster.GigabitEthernet(), n, 23)
-		meas := Measure(w, 0, 1, func(r *mpi.Rank) { ReduceScatter(r, 8_000) })
+		meas := Measure(w, 0, 1, func(r *mpi.Rank) { reduceScatter(r, 8_000) })
 		if meas.Times[0] <= 0 {
 			t.Fatalf("n=%d: no time elapsed", n)
 		}
@@ -50,8 +50,8 @@ func TestAllreduceRecursiveDoublingBeatsReduceBcast(t *testing.T) {
 	rd := Measure(wA, 1, 2, func(r *mpi.Rank) { Allreduce(r, m) })
 	wB := world(t, cluster.GigabitEthernet(), n, 24)
 	rb := Measure(wB, 1, 2, func(r *mpi.Rank) {
-		Reduce(r, 0, m)
-		Bcast(r, 0, m)
+		reduce(r, 0, m)
+		bcast(r, 0, m)
 	})
 	if rd.Mean() >= rb.Mean() {
 		t.Fatalf("recursive doubling (%v) not faster than reduce+bcast (%v)", rd.Mean(), rb.Mean())
@@ -62,9 +62,9 @@ func TestReduceTreeShallowerThanLinear(t *testing.T) {
 	// Binomial reduce is O(log n) rounds; a linear gather is O(n).
 	const n, m = 16, 100_000
 	wR := world(t, cluster.FastEthernet(), n, 25)
-	red := Measure(wR, 1, 2, func(r *mpi.Rank) { Reduce(r, 0, m) })
+	red := Measure(wR, 1, 2, func(r *mpi.Rank) { reduce(r, 0, m) })
 	wG := world(t, cluster.FastEthernet(), n, 25)
-	gat := Measure(wG, 1, 2, func(r *mpi.Rank) { Gather(r, 0, m) })
+	gat := Measure(wG, 1, 2, func(r *mpi.Rank) { linearRoot(r, m, false) })
 	if red.Mean() >= gat.Mean() {
 		t.Fatalf("binomial reduce (%v) not faster than linear gather (%v)", red.Mean(), gat.Mean())
 	}
@@ -77,9 +77,9 @@ func TestReductionKernelsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 9} {
 		w := world(t, cluster.GigabitEthernet(), n, 27)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) {
-			Reduce(r, n/2, 10_000)
+			reduce(r, n/2, 10_000)
 			Allreduce(r, 10_000)
-			ReduceScatter(r, 10_000)
+			reduceScatter(r, 10_000)
 		})
 		if meas.Times[0] <= 0 {
 			t.Fatalf("n=%d: no time elapsed", n)
@@ -94,9 +94,9 @@ func TestReductionKernelsZeroPayload(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 6, 8} {
 		w := world(t, cluster.GigabitEthernet(), n, 28)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) {
-			Reduce(r, 0, 0)
+			reduce(r, 0, 0)
 			Allreduce(r, 0)
-			ReduceScatter(r, 0)
+			reduceScatter(r, 0)
 		})
 		if meas.Times[0] <= 0 {
 			t.Fatalf("n=%d: zero-payload reductions took no time", n)
@@ -124,9 +124,9 @@ func TestReductionKernelsUnderFaultSchedule(t *testing.T) {
 		}
 		w := mpi.NewWorld(cl, mpi.Config{})
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) {
-			Reduce(r, 0, m)
+			reduce(r, 0, m)
 			Allreduce(r, m)
-			ReduceScatter(r, m)
+			reduceScatter(r, m)
 		})
 		return meas.Times[0]
 	}
@@ -161,14 +161,14 @@ func TestReduceUnderFaultWithTimedWaits(t *testing.T) {
 		for mask < n {
 			if vrank&mask != 0 {
 				q := r.Isend(vrank&^mask, tagReduce, m)
-				for !r.WaitTimeout(q, 10*sim.Millisecond) {
+				for !r.WaitAllTimeout(10*sim.Millisecond, q) {
 					timeouts++
 				}
 				return
 			}
 			if vrank|mask < n {
 				q := r.Irecv(vrank|mask, tagReduce)
-				for !r.WaitTimeout(q, 10*sim.Millisecond) {
+				for !r.WaitAllTimeout(10*sim.Millisecond, q) {
 					timeouts++
 				}
 			}
@@ -184,9 +184,9 @@ func TestReductionCollectivesOnLosslessNetwork(t *testing.T) {
 	cl := cluster.Build(cluster.Myrinet(), 8, 26)
 	w := mpi.NewWorld(cl, mpi.Config{})
 	meas := Measure(w, 0, 1, func(r *mpi.Rank) {
-		Reduce(r, 0, 50_000)
+		reduce(r, 0, 50_000)
 		Allreduce(r, 50_000)
-		ReduceScatter(r, 50_000)
+		reduceScatter(r, 50_000)
 	})
 	if cl.Net.Drops() != 0 {
 		t.Fatalf("lossless network dropped %d packets", cl.Net.Drops())

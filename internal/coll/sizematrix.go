@@ -86,18 +86,6 @@ func (sz SizeMatrix) Set(src, dst, b int) {
 	sz.bytes[src*sz.n+dst] = b
 }
 
-// Scale returns a copy with every entry multiplied by k (k ≥ 0).
-func (sz SizeMatrix) Scale(k int) SizeMatrix {
-	if k < 0 {
-		panic(fmt.Sprintf("coll: negative scale %d", k))
-	}
-	out := NewSizeMatrix(sz.n)
-	for i, b := range sz.bytes {
-		out.bytes[i] = b * k
-	}
-	return out
-}
-
 // Total sums every entry — the exchange's global byte volume.
 func (sz SizeMatrix) Total() int {
 	t := 0

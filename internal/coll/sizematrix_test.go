@@ -36,10 +36,6 @@ func TestSizeMatrixBasics(t *testing.T) {
 	if got := sz.NonzeroPairs(2, 0, 3); got != 1 {
 		t.Fatalf("NonzeroPairs(2) = %d, want 1", got)
 	}
-	scaled := sz.Scale(3)
-	if scaled.At(0, 1) != 300 || sz.At(0, 1) != 100 {
-		t.Fatal("Scale must copy, not mutate")
-	}
 }
 
 func TestSizeMatrixUniform(t *testing.T) {

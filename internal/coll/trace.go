@@ -95,20 +95,20 @@ func (pt *PhaseTrace) Spans() []PhaseSpan {
 			continue
 		}
 		out = append(out, PhaseSpan{
-			Phase: p, Label: pt.plan.PhaseLabel(p),
+			Phase: p, Label: pt.plan.phaseLabel(p),
 			Start: (lo - t0).Seconds(), End: (hi - t0).Seconds(), Ranks: ranks,
 		})
 	}
 	return out
 }
 
-// PhaseLabel names phase i of the plan in terms of the algorithm's
+// phaseLabel names phase i of the plan in terms of the algorithm's
 // structure. For HierGather the compiler's phase layout is: phase 0 the
 // intra-leaf exchange, phase 1 the leaf gather, phase 1+h the tier-h
 // coordinator exchange, and phase 1+H+d the depth-d scatter (H the tree
 // height). HierDirect phases are dependency levels of the overlapped
 // relay, which interleave gather, exchange, and scatter traffic.
-func (p *HierPlan) PhaseLabel(i int) string {
+func (p *HierPlan) phaseLabel(i int) string {
 	if p.Workload.Kind.relayed() {
 		// Rooted relays share one phase layout across both algorithm
 		// variants: one relay level per phase (Allreduce runs the reduce

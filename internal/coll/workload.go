@@ -97,11 +97,11 @@ func RunKindFlat(r *mpi.Rank, w Workload, alg Algorithm) {
 	case KindAllgather:
 		Allgather(r, w.M)
 	case KindBroadcast:
-		Bcast(r, 0, w.M)
+		bcast(r, 0, w.M)
 	case KindReduce:
-		Reduce(r, 0, w.M)
+		reduce(r, 0, w.M)
 	case KindReduceScatter:
-		ReduceScatter(r, w.M)
+		reduceScatter(r, w.M)
 	case KindAllreduce:
 		Allreduce(r, w.M)
 	default:

@@ -34,14 +34,16 @@ type Config struct {
 	Scale float64
 	// Warmup and Reps control the per-point measurement protocol (the
 	// paper averaged 100 runs; simulation variance is lower, so small
-	// values suffice).
+	// values suffice). Zero takes DefaultConfig's value, so a run always
+	// has at least one warmup.
 	Warmup int
 	Reps   int
 	// Seed drives every simulation in the experiment.
 	Seed int64
-	// Algorithm is the All-to-All implementation under test. The
-	// default, PostAll, matches the nonblocking post-everything direct
-	// exchange of the LAM/MPICH implementations the paper measured.
+	// Algorithm is the All-to-All implementation under test.
+	// DefaultConfig and PaperConfig (and so atabench) use PostAll, the
+	// nonblocking post-everything direct exchange of the LAM/MPICH
+	// implementations the paper measured; the zero value is coll.Direct.
 	Algorithm coll.Algorithm
 	// Trace, when non-nil, collects the grid experiments' planner
 	// characterization traces (see grid.Options.Trace); nil disables
@@ -60,12 +62,12 @@ type Config struct {
 
 // DefaultConfig is the CI-affordable configuration.
 func DefaultConfig() Config {
-	return Config{Scale: 0.25, Warmup: 1, Reps: 2, Seed: 1}
+	return Config{Scale: 0.25, Warmup: 1, Reps: 2, Seed: 1, Algorithm: coll.PostAll}
 }
 
 // PaperConfig reproduces the paper's grids.
 func PaperConfig() Config {
-	return Config{Scale: 1.0, Warmup: 1, Reps: 3, Seed: 1}
+	return Config{Scale: 1.0, Warmup: 1, Reps: 3, Seed: 1, Algorithm: coll.PostAll}
 }
 
 func (c Config) withDefaults() Config {
@@ -184,8 +186,6 @@ func dedupInts(in []int) []int {
 type CurvePoint struct {
 	M    int
 	Mean float64
-	Min  float64
-	Max  float64
 }
 
 // alltoallCurve measures the All-to-All completion time across a message
@@ -199,7 +199,7 @@ func alltoallCurve(p cluster.Profile, n int, sizes []int, cfg Config) []CurvePoi
 		meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) {
 			coll.Alltoall(r, m, cfg.Algorithm)
 		})
-		out = append(out, CurvePoint{M: m, Mean: meas.Mean(), Min: meas.Min(), Max: meas.Max()})
+		out = append(out, CurvePoint{M: m, Mean: meas.Mean()})
 	}
 	return out
 }

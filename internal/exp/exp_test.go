@@ -13,11 +13,23 @@ import (
 	"repro/internal/grid"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/gr_tiny.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/{lan,gr}_tiny.golden")
+
+// TestMain widens the GC pacing band for the package's tests. The
+// golden tables' parallel subtests share one heap whose live part is a
+// few MB, so default pacing collects every few MB of the simulators'
+// garbage and each cycle stops every subtest: on a 2-core host that
+// made the parallel grid run slower (45 s) than the sequential one
+// (43 s). A wider pacing band makes it 30 s; allocating less per packet
+// (ROADMAP item 6) is the real fix.
+func TestMain(m *testing.M) {
+	debug.SetGCPercent(400)
+	os.Exit(m.Run())
+}
 
 // tinyConfig keeps experiment tests affordable.
 func tinyConfig() Config {
-	return Config{Scale: 0.05, Warmup: 0, Reps: 1, Seed: 3}
+	return Config{Scale: 0.05, Warmup: 1, Reps: 1, Seed: 3}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -84,34 +96,6 @@ func TestScaleHelpers(t *testing.T) {
 	}
 }
 
-func TestFitExperimentRuns(t *testing.T) {
-	e, err := ByID("F12") // Myrinet is the fastest profile to simulate
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run(tinyConfig())
-	if len(res.Series) == 0 {
-		t.Fatalf("no series: notes=%v", res.Notes)
-	}
-	s := res.Series[0]
-	if len(s.Rows) < 4 {
-		t.Fatalf("too few rows: %d", len(s.Rows))
-	}
-	for _, row := range s.Rows {
-		measured, lb := row[1], row[2]
-		if measured <= 0 || lb <= 0 {
-			t.Fatalf("nonpositive times in row %v", row)
-		}
-		if measured < lb*0.8 {
-			t.Fatalf("measured %v implausibly below lower bound %v", measured, lb)
-		}
-	}
-	joined := strings.Join(res.Notes, "\n")
-	if !strings.Contains(joined, "signature") {
-		t.Fatalf("notes missing signature: %v", res.Notes)
-	}
-}
-
 // goldenSections splits concatenated WriteCSV output into one block per
 // experiment, keyed by the ID in each series' "# <ID> <title> <series>"
 // header.
@@ -127,35 +111,30 @@ func goldenSections(data string) map[string]string {
 	return out
 }
 
-// TestGridExperimentRuns runs every grid validation sweep once at
-// tinyConfig and feeds the one Result to both the shape assertions and a
-// byte-for-byte compare against testdata/gr_tiny.golden — predicted,
-// simulated and signed error for every (topology, workload, strategy)
-// cell at CI scale, generated before the experiments were folded into
-// gridSweep. The experiments share no mutable state (own topology,
-// planner, nil collector), so they run in parallel. GR6 (~45 s even
-// here) is pinned by the chaos CI job against gr6_tiny.golden instead.
-// Refresh with `go test ./internal/exp -run TestGridExperimentRuns
-// -update` after an intentional model or simulator change.
-func TestGridExperimentRuns(t *testing.T) {
-	cases := []struct{ id, wantNote string }{
-		{"GR1", "WAN"}, {"GR2", "tier"}, {"GR3", "coordinator"},
-		{"GR4", "patterns"}, {"GR5", "scalar"}, {"GR7", "kinds"},
-	}
-	golden := filepath.Join("testdata", "gr_tiny.golden")
+// goldenCase is one experiment of a golden table and the shape
+// assertions its Result must pass besides the byte-for-byte compare (nil
+// when the golden is the whole check).
+type goldenCase struct {
+	id    string
+	check func(t *testing.T, res Result)
+}
+
+// runGolden runs every case once at tinyConfig and feeds the one Result
+// to both the case's check and a byte-for-byte compare of its WriteCSV
+// output against its section of testdata/<file>. The experiments share
+// no mutable state (own cluster or topology, planner, nil collector), so
+// they run as parallel subtests, and the golden tables run in parallel
+// with each other. With -update the file is rewritten in case order
+// instead.
+func runGolden(t *testing.T, file string, cases []goldenCase) {
+	t.Parallel()
+	golden := filepath.Join("testdata", file)
 	data, err := os.ReadFile(golden)
 	if err != nil && !*updateGolden {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
 	want := goldenSections(string(data))
 	got := make([]string, len(cases))
-	// The parallel subtests share one heap whose live part is a few MB,
-	// so default pacing collects every few MB of the simulators' garbage
-	// and each cycle stops every subtest: on a 2-core host that made the
-	// parallel run slower (45 s) than the sequential one (43 s). A wider
-	// pacing band makes it 30 s; allocating less per packet (ROADMAP
-	// item 3) is the real fix.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	t.Run("sweep", func(t *testing.T) {
 		for i, tc := range cases {
 			i, tc := i, tc // go.mod is go 1.21: per-loop variables
@@ -169,29 +148,8 @@ func TestGridExperimentRuns(t *testing.T) {
 				if len(res.Series) == 0 {
 					t.Fatalf("no series: notes=%v", res.Notes)
 				}
-				s := res.Series[0]
-				if len(s.Rows) == 0 {
-					t.Fatal("empty prediction-vs-simulation series")
-				}
-				predCol, simCol := -1, -1
-				for i, c := range s.Cols {
-					switch c {
-					case "predicted_s", "pred_curve_s":
-						predCol = i
-					case "simulated_s":
-						simCol = i
-					}
-				}
-				if predCol < 0 || simCol < 0 {
-					t.Fatalf("series lacks predicted_s/simulated_s columns: %v", s.Cols)
-				}
-				for _, row := range s.Rows {
-					if row[predCol] <= 0 || row[simCol] <= 0 {
-						t.Fatalf("nonpositive times in row %v", row)
-					}
-				}
-				if !strings.Contains(strings.Join(res.Notes, "\n"), tc.wantNote) {
-					t.Fatalf("notes missing characterization %q: %v", tc.wantNote, res.Notes)
+				if tc.check != nil {
+					tc.check(t, res)
 				}
 				var buf bytes.Buffer
 				WriteCSV(&buf, res)
@@ -211,6 +169,97 @@ func TestGridExperimentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestLANExperimentRuns pins every single-cluster experiment — the
+// figures F02–F14, the signature table TA, the ablations AB1–AB3 and the
+// extensions EX1–EX3 — against testdata/lan_tiny.golden, so a refactor
+// under them (calibration, fitting, the mpi runtime's constants) must
+// reproduce every CSV cell at CI scale. F12 (Myrinet, the fastest
+// profile) also carries the fit shape checks. Refresh with `go test
+// ./internal/exp -run TestLANExperimentRuns -update` after an
+// intentional model or simulator change.
+func TestLANExperimentRuns(t *testing.T) {
+	var cases []goldenCase
+	for _, id := range []string{
+		"F02", "F03", "F04", "F05", "F06", "F07", "F08", "F09", "F10", "F11", "F12", "F13", "F14",
+		"TA", "AB1", "AB2", "AB3", "EX1", "EX2", "EX3",
+	} {
+		c := goldenCase{id: id}
+		if id == "F12" {
+			c.check = checkFitShape
+		}
+		cases = append(cases, c)
+	}
+	runGolden(t, "lan_tiny.golden", cases)
+}
+
+// checkFitShape asserts a signature-fit experiment's measured curve: at
+// least four points, positive times, none implausibly below the lower
+// bound, and the fitted signature in the notes.
+func checkFitShape(t *testing.T, res Result) {
+	s := res.Series[0]
+	if len(s.Rows) < 4 {
+		t.Fatalf("too few rows: %d", len(s.Rows))
+	}
+	for _, row := range s.Rows {
+		measured, lb := row[1], row[2]
+		if measured <= 0 || lb <= 0 {
+			t.Fatalf("nonpositive times in row %v", row)
+		}
+		if measured < lb*0.8 {
+			t.Fatalf("measured %v implausibly below lower bound %v", measured, lb)
+		}
+	}
+	if !strings.Contains(strings.Join(res.Notes, "\n"), "signature") {
+		t.Fatalf("notes missing signature: %v", res.Notes)
+	}
+}
+
+// TestGridExperimentRuns runs every grid validation sweep once at
+// tinyConfig against testdata/gr_tiny.golden — predicted, simulated and
+// signed error for every (topology, workload, strategy) cell at CI
+// scale, generated before the experiments were folded into gridSweep —
+// and checks each series' prediction and simulation columns and its
+// characterization note. GR6 (~45 s even here) is pinned by the chaos
+// CI job against gr6_tiny.golden instead. Refresh with `go test
+// ./internal/exp -run TestGridExperimentRuns -update` after an
+// intentional model or simulator change.
+func TestGridExperimentRuns(t *testing.T) {
+	var cases []goldenCase
+	for _, tc := range []struct{ id, wantNote string }{
+		{"GR1", "WAN"}, {"GR2", "tier"}, {"GR3", "coordinator"},
+		{"GR4", "patterns"}, {"GR5", "scalar"}, {"GR7", "kinds"},
+	} {
+		wantNote := tc.wantNote
+		cases = append(cases, goldenCase{id: tc.id, check: func(t *testing.T, res Result) {
+			s := res.Series[0]
+			if len(s.Rows) == 0 {
+				t.Fatal("empty prediction-vs-simulation series")
+			}
+			predCol, simCol := -1, -1
+			for i, c := range s.Cols {
+				switch c {
+				case "predicted_s", "pred_curve_s":
+					predCol = i
+				case "simulated_s":
+					simCol = i
+				}
+			}
+			if predCol < 0 || simCol < 0 {
+				t.Fatalf("series lacks predicted_s/simulated_s columns: %v", s.Cols)
+			}
+			for _, row := range s.Rows {
+				if row[predCol] <= 0 || row[simCol] <= 0 {
+					t.Fatalf("nonpositive times in row %v", row)
+				}
+			}
+			if !strings.Contains(strings.Join(res.Notes, "\n"), wantNote) {
+				t.Fatalf("notes missing characterization %q: %v", wantNote, res.Notes)
+			}
+		}})
+	}
+	runGolden(t, "gr_tiny.golden", cases)
 }
 
 // TestStrategyLegendFollowsStrategies pins the legend to the strategies
@@ -299,5 +348,16 @@ func TestConfigDefaults(t *testing.T) {
 	p := PaperConfig()
 	if p.Scale != 1.0 {
 		t.Fatal("paper config must be full scale")
+	}
+}
+
+// TestDefaultAlgorithmIsPostAll pins the library's default All-to-All to
+// atabench's -alg default, so the root benchmarks and the CLI measure
+// the same exchange.
+func TestDefaultAlgorithmIsPostAll(t *testing.T) {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "paper": PaperConfig()} {
+		if cfg.Algorithm != coll.PostAll {
+			t.Errorf("%s config runs %v, want %v", name, cfg.Algorithm, coll.PostAll)
+		}
 	}
 }

@@ -12,15 +12,9 @@ import (
 // network; Fig. 2 plots the average per-connection bandwidth, Fig. 3 the
 // individual transmission times with their straggler tail.
 
-func saturationConnCounts(scale float64) []int {
-	base := []int{1, 2, 4, 8, 12, 16, 24, 32, 40, 50, 60}
-	var out []int
-	for _, c := range base {
-		out = append(out, scaleCount(c, 1, 1)) // connection counts stay
-	}
-	_ = scale
-	return out
-}
+// saturationConnCounts are the probed connection counts; unlike sizes
+// and grids they do not shrink with Config.Scale.
+var saturationConnCounts = []int{1, 2, 4, 8, 12, 16, 24, 32, 40, 50, 60}
 
 func init() {
 	register(Experiment{
@@ -35,7 +29,7 @@ func init() {
 				Name: "bandwidth",
 				Cols: []string{"connections", "avg_bandwidth_MBps", "min_bandwidth_MBps"},
 			}
-			for _, c := range saturationConnCounts(cfg.Scale) {
+			for _, c := range saturationConnCounts {
 				pr := calib.SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, nodes, c, size, cfg.Seed+int64(c))
 				var minBW float64
 				if mx := stats.Max(pr.Times); mx > 0 {
@@ -66,7 +60,7 @@ func init() {
 				Name: "summary",
 				Cols: []string{"connections", "mean_s", "p95_s", "max_s", "max_over_mean"},
 			}
-			for _, c := range saturationConnCounts(cfg.Scale) {
+			for _, c := range saturationConnCounts {
 				pr := calib.SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, nodes, c, size, cfg.Seed+int64(c))
 				for _, t := range pr.Times {
 					indiv.Rows = append(indiv.Rows, []float64{float64(c), t})

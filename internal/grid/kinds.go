@@ -64,7 +64,6 @@ func (pl *Planner) kindFactor(kind coll.Kind) (model.FactorCurve, error) {
 			Root:         cappedModel(pl.Model.Root, probeCap),
 			OverlapGamma: pl.Model.OverlapGamma,
 			GatherGamma:  pl.Model.GatherGamma,
-			CombineBeta:  pl.Model.CombineBeta,
 		}
 		sw := &factorSweep{
 			factor: "gamma_" + kind.String(), stage: "kind", seed: opt.Seed + 131,

@@ -122,18 +122,6 @@ func (c FactorCurve) Lookup(bytes int) (f float64, lo, hi FactorPoint) {
 	return last.Factor, last, last
 }
 
-// Max returns the largest fitted factor (1 for an empty curve) — the
-// conservative bound diagnostics report.
-func (c FactorCurve) Max() float64 {
-	worst := 1.0
-	for _, p := range c.Points {
-		if p.Factor > worst {
-			worst = p.Factor
-		}
-	}
-	return worst
-}
-
 // String renders the curve for experiment output: a bare number for
 // scalar-compatible curves ("2.41"), size-annotated points otherwise
 // ("8k:3.10 64k:2.41 256k:1.75").

@@ -51,9 +51,6 @@ func TestFactorCurveAt(t *testing.T) {
 	if mid := c.At(100 << 10); mid < 1 || mid > 2 {
 		t.Fatalf("At(100k) = %v outside its bracket [1, 2]", mid)
 	}
-	if got := c.Max(); got != 4 {
-		t.Fatalf("Max() = %v, want 4", got)
-	}
 }
 
 func TestCurveOfSanitizes(t *testing.T) {

@@ -204,11 +204,6 @@ func LeafNode(size int, lan Signature) *ModelNode {
 	return &ModelNode{Size: size, LAN: lan}
 }
 
-// GroupNode returns a group model node joining children through a tier.
-func GroupNode(wan WANModel, children ...*ModelNode) *ModelNode {
-	return &ModelNode{Children: children, Wan: wan}
-}
-
 // IsLeaf reports whether the node is a leaf cluster.
 func (v *ModelNode) IsLeaf() bool { return len(v.Children) == 0 }
 
@@ -300,11 +295,6 @@ type GridModel struct {
 	// recovery the plain serialization term misses. Fitted from probe
 	// grids, size-indexed like OverlapGamma.
 	GatherGamma FactorCurve
-	// CombineBeta prices reduction arithmetic in seconds per combined
-	// byte for the reducing kinds (Reduce, Allreduce, Reduce-scatter).
-	// Zero — the default — keeps combining free, as the simulator and
-	// the paper's models assume; All-to-All predictions never read it.
-	CombineBeta float64
 }
 
 // emitLookup records one factor-curve read on tr: the curve's role, the

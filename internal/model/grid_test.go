@@ -71,13 +71,18 @@ func TestWANTransferShared(t *testing.T) {
 	}
 }
 
+// groupNode returns a group model node joining children through a tier.
+func groupNode(wan WANModel, children ...*ModelNode) *ModelNode {
+	return &ModelNode{Children: children, Wan: wan}
+}
+
 func testSig() Signature {
 	return Signature{H: Hockney{Alpha: 50e-6, Beta: 8e-9}, Gamma: 10, Delta: 0.04, M: 128 << 10}
 }
 
 func gridModelFixture() GridModel {
 	sig := testSig()
-	return GridModel{Root: GroupNode(testWan(), LeafNode(4, sig), LeafNode(4, sig))}
+	return GridModel{Root: groupNode(testWan(), LeafNode(4, sig), LeafNode(4, sig))}
 }
 
 // threeLevelFixture: 2 nations × 2 campuses of 4 nodes, a fast campus
@@ -94,9 +99,9 @@ func threeLevelFixture() GridModel {
 		Gamma:    ScalarFactor(2),
 	}
 	nation := func() *ModelNode {
-		return GroupNode(campus, LeafNode(4, sig), LeafNode(4, sig))
+		return groupNode(campus, LeafNode(4, sig), LeafNode(4, sig))
 	}
-	return GridModel{Root: GroupNode(testWan(), nation(), nation())}
+	return GridModel{Root: groupNode(testWan(), nation(), nation())}
 }
 
 func TestGridModelValidate(t *testing.T) {
@@ -107,7 +112,7 @@ func TestGridModelValidate(t *testing.T) {
 	if err := threeLevelFixture().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := GridModel{Root: GroupNode(testWan(), LeafNode(4, testSig()), LeafNode(0, testSig()))}
+	bad := GridModel{Root: groupNode(testWan(), LeafNode(4, testSig()), LeafNode(0, testSig()))}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("empty cluster must fail validation")
 	}
@@ -183,7 +188,7 @@ func TestGridTwoLevelMatchesClosedForm(t *testing.T) {
 	sig := testSig()
 	sizes := []int{4, 6}
 	wan := testWan()
-	g := GridModel{Root: GroupNode(wan, LeafNode(sizes[0], sig), LeafNode(sizes[1], sig))}
+	g := GridModel{Root: groupNode(wan, LeafNode(sizes[0], sig), LeafNode(sizes[1], sig))}
 	g.Root.Wan.Gamma = ScalarFactor(3)
 	g.OverlapGamma = ScalarFactor(2.5)
 	g.GatherGamma = ScalarFactor(1.5)

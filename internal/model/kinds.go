@@ -19,9 +19,9 @@ import (
 //     compiled plans actually move (the counts source, volumes.go);
 //   - Broadcast and Reduce relay one m-byte payload per hop of the
 //     delegate tree (fan-out down, incast up) — structurally different,
-//     priced by relayLegs below; Reduce additionally prices the
-//     combining arithmetic via CombineBeta, and its leaf incast is
-//     κ-charged like the All-to-All gather incast;
+//     priced by relayLegs below; Reduce's leaf incast is κ-charged like
+//     the All-to-All gather incast. Combining arithmetic is free, as the
+//     simulator (which charges none) and the paper's models assume;
 //   - Allreduce is Reduce∘Broadcast over the same relay;
 //   - every kind's flat (topology-oblivious) kernel is priced by
 //     flatKernel.
@@ -37,10 +37,8 @@ func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 	switch kind {
 	case coll.KindAllgather:
 		return float64(n-1) * g.hopTransfer(m)
-	case coll.KindBroadcast:
+	case coll.KindBroadcast, coll.KindReduce:
 		return float64(ceilLog2(n)) * g.hopTransfer(m)
-	case coll.KindReduce:
-		return float64(ceilLog2(n)) * (g.hopTransfer(m) + g.CombineBeta*float64(m))
 	case coll.KindAllreduce:
 		if n&(n-1) == 0 {
 			// Recursive doubling: log2(n) pairwise exchanges. The
@@ -55,9 +53,9 @@ func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 			if wanRounds > rounds {
 				wanRounds = rounds
 			}
-			t := float64(rounds) * g.CombineBeta * float64(m)
+			t := 0.0
 			if !g.Root.IsLeaf() && wanRounds > 0 {
-				t += float64(wanRounds) * g.Root.Wan.TransferShared(n/2, m) * gammaAt(g.GatherGamma, m)
+				t = float64(wanRounds) * g.Root.Wan.TransferShared(n/2, m) * gammaAt(g.GatherGamma, m)
 				rounds -= wanRounds
 			}
 			return t + float64(rounds)*g.hopTransfer(m)
@@ -71,12 +69,12 @@ func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 				if size < 1 {
 					size = 1
 				}
-				t += g.hopTransfer(size) + g.CombineBeta*float64(size)
+				t += g.hopTransfer(size)
 				size /= 2
 			}
 			return t
 		}
-		return float64(n-1) * (g.hopTransfer(m) + g.CombineBeta*float64(m))
+		return float64(n-1) * g.hopTransfer(m)
 	}
 	panic(fmt.Sprintf("model: no flat prediction for %v", kind))
 }
@@ -86,14 +84,14 @@ func (g GridModel) flatKernel(kind coll.Kind, m int) float64 {
 func (g GridModel) rootedHier(kind coll.Kind, m int, tr *obs.Collector) float64 {
 	switch kind {
 	case coll.KindBroadcast:
-		wan, local, _ := g.relayLegs(m)
+		wan, local := g.relayLegs(m)
 		return wan + local
 	case coll.KindReduce:
-		wan, local, compute := g.relayLegs(m)
+		wan, local := g.relayLegs(m)
 		if tr != nil {
 			emitLookup(tr, "kappa", -1, g.GatherGamma, m)
 		}
-		return wan + local*gammaAt(g.GatherGamma, m) + compute
+		return wan + local*gammaAt(g.GatherGamma, m)
 	case coll.KindAllreduce:
 		return g.rootedHier(coll.KindReduce, m, tr) + g.rootedHier(coll.KindBroadcast, m, tr)
 	}
@@ -121,18 +119,14 @@ func ceilLog2(n int) int {
 	return r
 }
 
-// relayLegs prices the rooted delegate relay (planRooted): per group
+// relayLegs prices the rooted delegate relay (compileRooted): per group
 // tier, one m-byte message per non-colocated child delegate through the
 // tier's uplink (tiers at one height run concurrently, heights
-// sequentially); at the leaves, the worst (s−1)-member local leg
-// through the coordinator port. compute accumulates the combining
-// arithmetic a reduction pays along the same critical path: each relay
-// node combines one m-byte contribution per input, priced at
-// CombineBeta seconds per byte (zero — free combining, as the simulator
-// also assumes — by default).
-func (g GridModel) relayLegs(m int) (wan, local, compute float64) {
-	byHeight := map[int]float64{}
-	localCompute := 0.0
+// sequentially, summed in ascending height order so the float sum is
+// reproducible on any depth); at the leaves, the worst (s−1)-member
+// local leg through the coordinator port.
+func (g GridModel) relayLegs(m int) (wan, local float64) {
+	byHeight := make([]float64, g.Root.Height()+1)
 	var walk func(v *ModelNode)
 	walk = func(v *ModelNode) {
 		if v.IsLeaf() {
@@ -142,21 +136,15 @@ func (g GridModel) relayLegs(m int) (wan, local, compute float64) {
 				if v.CoordBeta > 0 {
 					beta = v.CoordBeta
 				}
-				t := float64(s-1) * (h.Alpha + float64(m)*beta/float64(v.coordSplit()))
-				if t > local {
+				if t := float64(s-1) * (h.Alpha + float64(m)*beta/float64(v.coordSplit())); t > local {
 					local = t
-					localCompute = g.CombineBeta * float64((s-1)*m)
 				}
 			}
 			return
 		}
 		if k := len(v.Children) - 1; k > 0 {
-			t := v.Wan.TransferShared(k, m)
-			if t > byHeight[v.Height()] {
+			if t := v.Wan.TransferShared(k, m); t > byHeight[v.Height()] {
 				byHeight[v.Height()] = t
-			}
-			if c := g.CombineBeta * float64(k*m); c > compute {
-				compute = c
 			}
 		}
 		for _, c := range v.Children {
@@ -167,5 +155,5 @@ func (g GridModel) relayLegs(m int) (wan, local, compute float64) {
 	for _, t := range byHeight {
 		wan += t
 	}
-	return wan, local, compute + localCompute
+	return wan, local
 }

@@ -81,23 +81,28 @@ func TestKindHierBeatsFlatOnDeepGrid(t *testing.T) {
 	}
 }
 
-func TestCombineBetaPricesReduction(t *testing.T) {
-	free := threeLevelFixture()
-	paid := threeLevelFixture()
-	paid.CombineBeta = 1e-6
-	const m = 64 << 10
-	for _, k := range []coll.Kind{coll.KindReduce, coll.KindAllreduce, coll.KindReduceScatter} {
-		if f, p := free.Predict(coll.Uniform(k, m), FlatDirect, nil), paid.Predict(coll.Uniform(k, m), FlatDirect, nil); p <= f {
-			t.Fatalf("%v flat: priced combining %v not above free %v", k, p, f)
-		}
+// TestRootedRelayDeterministicOnDeepGrids pins the rooted relay's WAN
+// sum to ascending tier height. Its per-height legs used to be summed
+// in map iteration order, so with three or more tier heights a
+// Broadcast prediction changed in its last bits from call to call. The
+// chain below has single-hop tiers of 0.1, 0.2 and 0.3 s at heights 1–3
+// and singleton leaves, so the prediction is exactly the WAN sum, and
+// (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in float64.
+func TestRootedRelayDeterministicOnDeepGrids(t *testing.T) {
+	tier := func(sec float64) WANModel {
+		return WANModel{Curve: []WANPoint{{Bytes: 1 << 20, T: sec}}, Gamma: ScalarFactor(1)}
 	}
-	for _, k := range []coll.Kind{coll.KindReduce, coll.KindAllreduce} {
-		if f, p := free.Predict(coll.Uniform(k, m), HierGather, nil), paid.Predict(coll.Uniform(k, m), HierGather, nil); p <= f {
-			t.Fatalf("%v hier: priced combining %v not above free %v", k, p, f)
-		}
+	leaf := func() *ModelNode { return LeafNode(1, testSig()) }
+	g := GridModel{Root: groupNode(tier(0.3),
+		groupNode(tier(0.2), groupNode(tier(0.1), leaf(), leaf()), leaf()), leaf())}
+	w := coll.Uniform(coll.KindBroadcast, 4<<10)
+	want := 0.0
+	for _, leg := range []float64{0.1, 0.2, 0.3} { // float64, not constant folding
+		want += leg
 	}
-	// Broadcast never combines: pricing must not move it.
-	if f, p := free.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil), paid.Predict(coll.Uniform(coll.KindBroadcast, m), HierGather, nil); f != p {
-		t.Fatalf("broadcast hier moved with CombineBeta: %v != %v", f, p)
+	for i := 0; i < 64; i++ {
+		if got := g.Predict(w, HierGather, nil); got != want {
+			t.Fatalf("call %d: broadcast = %v, want the ascending-height sum %v", i, got, want)
+		}
 	}
 }

@@ -15,9 +15,6 @@ type Hockney struct {
 	Beta  float64 // gap per byte (s/B); 1/β is the bandwidth
 }
 
-// P2P returns the modeled point-to-point time for an m-byte message.
-func (h Hockney) P2P(m int) float64 { return h.Alpha + h.Beta*float64(m) }
-
 // String renders the parameters in conventional units.
 func (h Hockney) String() string {
 	return fmt.Sprintf("α=%.3gs β=%.4gs/B (%.1f MB/s)", h.Alpha, h.Beta, 1/h.Beta/1e6)

@@ -8,14 +8,6 @@ import (
 
 var h = Hockney{Alpha: 50e-6, Beta: 8.5e-9}
 
-func TestHockneyP2P(t *testing.T) {
-	got := h.P2P(1 << 20)
-	want := 50e-6 + 8.5e-9*1048576
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("P2P = %v, want %v", got, want)
-	}
-}
-
 func TestLowerBoundPaperForm(t *testing.T) {
 	// Proposition 1: (n-1)·α + (n-1)·m·β.
 	n, m := 40, 1<<20

@@ -29,47 +29,36 @@ const (
 // AnyTag matches any tag in Recv/Irecv.
 const AnyTag = -1
 
+// Fixed costs of the LAM-MPI-like TCP stack the runtime models.
+const (
+	// envelopeSize is the wire size of a protocol envelope (it also
+	// rides in front of eager payloads).
+	envelopeSize = 64
+	// overhead is the per-posting CPU cost charged to the calling rank
+	// (the LogP "o"); it contributes to the measured α.
+	overhead = 25 * sim.Microsecond
+	// startJitter is the maximum uniform random skew added to each
+	// rank's start, modeling the asynchronous start of the paper's
+	// synchronization model.
+	startJitter = 50 * sim.Microsecond
+)
+
 // Config tunes the runtime. Zero values take defaults.
 type Config struct {
 	// EagerThreshold is the largest payload sent eagerly; larger
 	// payloads use the rendezvous protocol. LAM-era TCP RPIs switched
 	// at 64 KiB.
 	EagerThreshold int
-	// EnvelopeSize is the wire size of a protocol envelope (it also
-	// rides in front of eager payloads).
-	EnvelopeSize int
-	// Overhead is the per-posting CPU cost charged to the calling rank
-	// (the LogP "o"); it contributes to the measured α.
-	Overhead sim.Time
-	// StartJitter is the maximum uniform random skew added to each
-	// rank's start, modeling the asynchronous start of the paper's
-	// synchronization model.
-	StartJitter sim.Time
 }
 
 // DefaultConfig mirrors a LAM-MPI-like TCP stack.
 func DefaultConfig() Config {
-	return Config{
-		EagerThreshold: 64 << 10,
-		EnvelopeSize:   64,
-		Overhead:       25 * sim.Microsecond,
-		StartJitter:    50 * sim.Microsecond,
-	}
+	return Config{EagerThreshold: 64 << 10}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.EagerThreshold == 0 {
-		c.EagerThreshold = d.EagerThreshold
-	}
-	if c.EnvelopeSize == 0 {
-		c.EnvelopeSize = d.EnvelopeSize
-	}
-	if c.Overhead == 0 {
-		c.Overhead = d.Overhead
-	}
-	if c.StartJitter == 0 {
-		c.StartJitter = d.StartJitter
+		c.EagerThreshold = DefaultConfig().EagerThreshold
 	}
 	return c
 }
@@ -108,9 +97,6 @@ func NewWorld(cl *cluster.Cluster, cfg Config) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Config returns the effective runtime configuration.
-func (w *World) Config() Config { return w.cfg }
-
 // Run spawns body on every rank (with start jitter), runs the simulation
 // to completion, and panics if any rank deadlocked. It returns the final
 // simulated time.
@@ -118,10 +104,7 @@ func (w *World) Run(body func(r *Rank)) sim.Time {
 	s := w.Cluster.Sim
 	for _, r := range w.ranks {
 		r := r
-		jitter := sim.Time(0)
-		if w.cfg.StartJitter > 0 {
-			jitter = sim.Time(s.Rand().Int63n(int64(w.cfg.StartJitter) + 1))
-		}
+		jitter := sim.Time(s.Rand().Int63n(int64(startJitter) + 1))
 		r.proc = s.SpawnAt(s.Now()+jitter, fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			r.p = p
 			body(r)

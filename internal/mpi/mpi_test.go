@@ -38,7 +38,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 		case 0:
 			r.Send(1, 1, 500_000) // well above threshold: rendezvous
 		case 1:
-			r.Sleep(3 * sim.Millisecond) // delayed recv: REQ waits unexpected
+			r.p.Sleep(3 * sim.Millisecond) // delayed recv: REQ waits unexpected
 			got = r.Recv(0, 1)
 			when = r.Now()
 		}
@@ -62,7 +62,7 @@ func TestEagerBuffersBeforeRecvPosted(t *testing.T) {
 			r.Send(1, 1, 1000) // eager: completes locally at once
 			sendDone = r.Now()
 		case 1:
-			r.Sleep(5 * sim.Millisecond)
+			r.p.Sleep(5 * sim.Millisecond)
 			r.Recv(0, 1)
 			recvDone = r.Now()
 		}
@@ -121,7 +121,7 @@ func TestNonblockingWaitAll(t *testing.T) {
 			q1 := r.Irecv(1, 1)
 			q2 := r.Irecv(2, 1)
 			r.WaitAll(q1, q2)
-			got[1], got[2] = q1.Size(), q2.Size()
+			got[1], got[2] = q1.size, q2.size
 		default:
 			r.Send(0, 1, 1000*r.ID())
 		}
@@ -153,7 +153,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	var before, after [8]sim.Time
 	w.Run(func(r *Rank) {
 		// Stagger arrivals deliberately.
-		r.Sleep(sim.Time(r.ID()) * sim.Millisecond)
+		r.p.Sleep(sim.Time(r.ID()) * sim.Millisecond)
 		before[r.ID()] = r.Now()
 		r.Barrier()
 		after[r.ID()] = r.Now()
@@ -211,7 +211,7 @@ func TestManyPairsSimultaneously(t *testing.T) {
 		r.WaitAll(qs...)
 		for _, q := range qs {
 			if q.isRecv {
-				recvTotal[r.ID()] += q.Size()
+				recvTotal[r.ID()] += q.size
 			}
 		}
 	})

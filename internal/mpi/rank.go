@@ -17,9 +17,6 @@ type Request struct {
 	doneAt sim.Time
 }
 
-// Size returns the payload size transferred; valid after Wait.
-func (q *Request) Size() int { return q.size }
-
 // Done reports whether the operation has completed.
 func (q *Request) Done() bool { return q.fut.Done() }
 
@@ -87,9 +84,6 @@ func (r *Rank) Now() sim.Time { return r.p.Now() }
 // Valid once the rank body has started.
 func (r *Rank) Proc() *sim.Proc { return r.p }
 
-// Sleep suspends the rank for d of simulated time (models local compute).
-func (r *Rank) Sleep(d sim.Time) { r.p.Sleep(d) }
-
 func (r *Rank) conn(peer int) transport.Conn {
 	return r.world.Cluster.Fabric.Conn(r.id, peer)
 }
@@ -105,21 +99,20 @@ func (r *Rank) Isend(dst int, tag int32, size int) *Request {
 	if size < 0 {
 		panic("mpi: negative send size")
 	}
-	cfg := r.world.cfg
-	r.p.Sleep(cfg.Overhead)
+	r.p.Sleep(overhead)
 	q := &Request{size: size}
 	r.sendSeq++
 	seq := r.sendSeq
-	if size <= cfg.EagerThreshold {
+	if size <= r.world.cfg.EagerThreshold {
 		r.conn(dst).Send(transport.Message{
-			Kind: kEager, Tag: tag, MsgSeq: seq, Size: cfg.EnvelopeSize + size,
+			Kind: kEager, Tag: tag, MsgSeq: seq, Size: envelopeSize + size,
 		})
 		q.complete(r.world.Cluster.Sim)
 		return q
 	}
 	r.pendingRndzv[seq] = q
 	r.conn(dst).Send(transport.Message{
-		Kind: kReq, Tag: tag, MsgSeq: seq, Aux: int64(size), Size: cfg.EnvelopeSize,
+		Kind: kReq, Tag: tag, MsgSeq: seq, Aux: int64(size), Size: envelopeSize,
 	})
 	return q
 }
@@ -136,8 +129,7 @@ func (r *Rank) Irecv(src int, tag int32) *Request {
 	if src == r.id {
 		panic(fmt.Sprintf("mpi: rank %d Irecv from self", r.id))
 	}
-	cfg := r.world.cfg
-	r.p.Sleep(cfg.Overhead)
+	r.p.Sleep(overhead)
 	q := &Request{isRecv: true, src: src, tag: tag}
 	// An already-arrived envelope may satisfy this receive.
 	for i, u := range r.unexpected {
@@ -166,13 +158,6 @@ func (r *Rank) WaitAll(qs ...*Request) {
 	for _, q := range qs {
 		r.p.Await(&q.fut)
 	}
-}
-
-// WaitTimeout blocks until the request completes or d of simulated time
-// elapses. It returns true on completion, false on timeout; on timeout
-// the request stays outstanding and may still complete later.
-func (r *Rank) WaitTimeout(q *Request, d sim.Time) bool {
-	return r.p.AwaitTimeout(&q.fut, d)
 }
 
 // WaitAllTimeout blocks until every request completes or until d of
@@ -231,7 +216,7 @@ func (r *Rank) satisfy(q *Request, u inbound) {
 	case kReq:
 		r.pendingData[dataKey{u.src, u.msgSeq}] = q
 		r.conn(u.src).Send(transport.Message{
-			Kind: kCTS, MsgSeq: u.msgSeq, Size: r.world.cfg.EnvelopeSize,
+			Kind: kCTS, MsgSeq: u.msgSeq, Size: envelopeSize,
 		})
 	default:
 		panic(fmt.Sprintf("mpi: unexpected inbound kind %d", u.kind))
@@ -241,10 +226,9 @@ func (r *Rank) satisfy(q *Request, u inbound) {
 // onMessage handles a transport delivery from src. It runs in event-loop
 // context (never inside a rank coroutine).
 func (r *Rank) onMessage(src int, m transport.Message) {
-	cfg := r.world.cfg
 	switch m.Kind {
 	case kEager, kBarrier:
-		u := inbound{src: src, kind: kEager, tag: m.Tag, msgSeq: m.MsgSeq, payload: m.Size - cfg.EnvelopeSize}
+		u := inbound{src: src, kind: kEager, tag: m.Tag, msgSeq: m.MsgSeq, payload: m.Size - envelopeSize}
 		if q := r.match(src, m.Tag); q != nil {
 			r.satisfy(q, u)
 		} else {
@@ -264,7 +248,7 @@ func (r *Rank) onMessage(src int, m transport.Message) {
 		}
 		delete(r.pendingRndzv, m.MsgSeq)
 		r.conn(src).Send(transport.Message{
-			Kind: kData, MsgSeq: m.MsgSeq, Size: cfg.EnvelopeSize + q.size,
+			Kind: kData, MsgSeq: m.MsgSeq, Size: envelopeSize + q.size,
 		})
 		q.complete(r.world.Cluster.Sim)
 	case kData:
@@ -274,7 +258,7 @@ func (r *Rank) onMessage(src int, m transport.Message) {
 			panic(fmt.Sprintf("mpi: rank %d got DATA for unknown msg %d from %d", r.id, m.MsgSeq, src))
 		}
 		delete(r.pendingData, key)
-		q.size = m.Size - cfg.EnvelopeSize
+		q.size = m.Size - envelopeSize
 		q.complete(r.world.Cluster.Sim)
 	default:
 		panic(fmt.Sprintf("mpi: unknown message kind %d", m.Kind))

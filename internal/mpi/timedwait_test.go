@@ -16,18 +16,18 @@ func TestWaitTimeoutExpiresThenCompletes(t *testing.T) {
 	w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			r.Sleep(20 * sim.Millisecond)
+			r.p.Sleep(20 * sim.Millisecond)
 			r.Send(1, 3, 1000)
 		case 1:
 			q := r.Irecv(0, 3)
-			timedOut = !r.WaitTimeout(q, 5*sim.Millisecond)
+			timedOut = !r.WaitAllTimeout(5*sim.Millisecond, q)
 			r.Wait(q)
-			size = q.Size()
+			size = q.size
 			done = r.Now()
 		}
 	})
 	if !timedOut {
-		t.Fatal("WaitTimeout returned true before any send")
+		t.Fatal("WaitAllTimeout returned true before any send")
 	}
 	if size != 1000 {
 		t.Fatalf("size = %d, want 1000", size)
@@ -48,11 +48,11 @@ func TestWaitTimeoutCompletesInTime(t *testing.T) {
 			r.Send(1, 3, 1000)
 		case 1:
 			q := r.Irecv(0, 3)
-			ok = r.WaitTimeout(q, 50*sim.Millisecond)
+			ok = r.WaitAllTimeout(50*sim.Millisecond, q)
 		}
 	})
 	if !ok {
-		t.Fatal("WaitTimeout timed out on a prompt send")
+		t.Fatal("WaitAllTimeout timed out on a prompt send")
 	}
 }
 
@@ -67,7 +67,7 @@ func TestWaitAllTimeoutAbsoluteDeadline(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			r.Send(1, 1, 1000)
-			r.Sleep(30 * sim.Millisecond)
+			r.p.Sleep(30 * sim.Millisecond)
 			r.Send(1, 2, 2000)
 		case 1:
 			q1 := r.Irecv(0, 1)
@@ -103,7 +103,7 @@ func TestCancelRecv(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			r.Send(1, 9, 500) // eager: buffers as unexpected on rank 1
-			r.Sleep(20 * sim.Millisecond)
+			r.p.Sleep(20 * sim.Millisecond)
 			r.Send(1, 8, 700)
 		case 1:
 			// Never-matched posting withdraws cleanly.
@@ -111,14 +111,14 @@ func TestCancelRecv(t *testing.T) {
 			cancelledFresh = r.CancelRecv(stale)
 			// Let the eager tag-9 envelope land in the unexpected queue,
 			// so the next post matches it immediately.
-			r.Sleep(10 * sim.Millisecond)
+			r.p.Sleep(10 * sim.Millisecond)
 			matched := r.Irecv(0, 9)
 			cancelledMatched = r.CancelRecv(matched)
 			r.Wait(matched)
 			// A fresh posting after the cancel pairs with a later send.
 			q := r.Irecv(0, 8)
 			r.Wait(q)
-			reposted = q.Size()
+			reposted = q.size
 		}
 	})
 	if !cancelledFresh {

@@ -33,7 +33,7 @@ const (
 // interval of simulated time.
 type LinkFault struct {
 	// Port names the egress, in the "<owner>-><peer>" form Stats and
-	// WANPorts report.
+	// HostPorts report.
 	Port string
 	// At is when the fault strikes.
 	At sim.Time
@@ -66,11 +66,6 @@ type NodeFault struct {
 type FaultSchedule struct {
 	Links []LinkFault
 	Nodes []NodeFault
-}
-
-// Empty reports whether the schedule contains no faults.
-func (fs FaultSchedule) Empty() bool {
-	return len(fs.Links) == 0 && len(fs.Nodes) == 0
 }
 
 // NodeLostBy reports whether the schedule loses the named host at or
@@ -278,21 +273,6 @@ func (n *Network) findEgress(name string) *egress {
 		}
 	}
 	return nil
-}
-
-// WANPorts returns the names of every router→router egress — the WAN
-// tier links a fault schedule most plausibly targets — in device and
-// creation order, so the list is deterministic for seeding generators.
-func (n *Network) WANPorts() []string {
-	var out []string
-	for _, d := range n.devices {
-		for _, e := range d.egr {
-			if e.wan {
-				out = append(out, e.name)
-			}
-		}
-	}
-	return out
 }
 
 // HostPorts returns the names of every host NIC egress (the host's

@@ -122,7 +122,7 @@ func TestNodeLostBlackholesDelivery(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("handler ran %d times on a lost host", delivered)
 	}
-	if !b.Lost() {
+	if !b.lost {
 		t.Fatal("host b not marked lost")
 	}
 	if b.Blackholed != 1 {
@@ -181,16 +181,9 @@ func TestApplyFaultsValidates(t *testing.T) {
 	}
 }
 
-// TestFaultScheduleQueries covers Empty and the NodeLostBy oracle.
+// TestFaultScheduleQueries covers the NodeLostBy oracle.
 func TestFaultScheduleQueries(t *testing.T) {
-	var fs FaultSchedule
-	if !fs.Empty() {
-		t.Fatal("zero schedule not Empty")
-	}
-	fs.Nodes = []NodeFault{{Host: "h2", At: 10 * sim.Millisecond}}
-	if fs.Empty() {
-		t.Fatal("schedule with a node fault reported Empty")
-	}
+	fs := FaultSchedule{Nodes: []NodeFault{{Host: "h2", At: 10 * sim.Millisecond}}}
 	if fs.NodeLostBy("h2", 9*sim.Millisecond) {
 		t.Fatal("host reported lost before its fault time")
 	}
@@ -243,18 +236,26 @@ func TestGenFaultScheduleDeterministic(t *testing.T) {
 		}
 		seen[nf.Host] = true
 	}
-	if got := GenFaultSchedule(42, ports, hosts, FaultGenConfig{LinkFlaps: 3}); !got.Empty() {
+	if got := GenFaultSchedule(42, ports, hosts, FaultGenConfig{LinkFlaps: 3}); len(got.Links)+len(got.Nodes) != 0 {
 		t.Fatalf("zero horizon drew %+v", got)
 	}
 }
 
-// TestWANAndHostPorts pins the port-listing helpers fault generators
-// seed from.
+// TestWANAndHostPorts pins which egresses count as WAN tier links
+// (router→router, the ones the WAN byte counter and the fluid engine
+// single out) and the HostPorts listing fault generators seed from.
 func TestWANAndHostPorts(t *testing.T) {
 	_, n := faultWANPair(t, testRate/2, 5*sim.Millisecond)
-	wan := n.WANPorts()
+	var wan []string
+	for _, d := range n.devices {
+		for _, e := range d.egr {
+			if e.wan {
+				wan = append(wan, e.name)
+			}
+		}
+	}
 	if !reflect.DeepEqual(wan, []string{"rtA->rtB", "rtB->rtA"}) {
-		t.Fatalf("WANPorts = %v", wan)
+		t.Fatalf("WAN egresses = %v", wan)
 	}
 	hp := n.HostPorts()
 	if !reflect.DeepEqual(hp, []string{"a->swA", "b->swB"}) {

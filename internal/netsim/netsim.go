@@ -121,14 +121,6 @@ type Device struct {
 	Blackholed uint64
 }
 
-// Lost reports whether a node-loss fault has removed this host.
-func (d *Device) Lost() bool { return d.lost }
-
-// RxCost returns the host's per-packet receive processing cost (zero
-// for kernel-bypass stacks). The fluid pricer reads it to bound a
-// flow's rate by the destination CPU's packet-processing capacity.
-func (d *Device) RxCost() sim.Time { return d.rxCost }
-
 // SetRxCost configures the per-packet receive processing cost.
 func (d *Device) SetRxCost(c sim.Time) {
 	if !d.isHost {
@@ -372,20 +364,6 @@ type EgressStats struct {
 	SentBytes uint64
 	Drops     uint64 // packets tail-dropped at enqueue
 	MaxQueue  int    // high-water mark of queued+reserved bytes
-}
-
-// EgressSnapshot returns the live state of the named egress queue:
-// bytes queued, bytes reserved by upstream transmitters, and packets
-// sent so far. Diagnostic use (experiments and tests).
-func (n *Network) EgressSnapshot(name string) (queued, reserved int, sent uint64, ok bool) {
-	for _, d := range n.devices {
-		for _, e := range d.egr {
-			if e.name == name {
-				return e.qBytes, e.reserved, e.sent, true
-			}
-		}
-	}
-	return 0, 0, 0, false
 }
 
 // Stats returns per-egress counters for every queue in the network.

@@ -133,11 +133,6 @@ func (c *Collector) SetClock(fn func() int64) {
 	c.mu.Unlock()
 }
 
-// Enabled reports whether the collector records anything; it is the
-// documented way to guard optional extra work (building attribute
-// strings, snapshotting stats) that has a cost even before recording.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // record appends an event under the lock, copying attrs so the caller's
 // variadic slice never escapes (keeping disabled call sites
 // allocation-free and enabled ones safe against reuse).

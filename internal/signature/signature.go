@@ -39,20 +39,20 @@ const (
 )
 
 // Options tunes the fit. The zero value is the default procedure:
-// uniform weighting, automatic threshold scan, δ clamped at zero, and
-// sub-microsecond δ treated as nonexistent (the paper's Myrinet case).
+// uniform weighting and an automatic threshold scan. Every fit clamps a
+// negative δ to zero (refitting γ alone) and treats a δ below minDelta
+// as nonexistent.
 type Options struct {
 	Weighting Weighting
 	// FixedM skips the threshold scan and uses the given M (bytes).
 	// Leave 0 to scan candidate breakpoints.
 	FixedM int
-	// AllowNegativeDelta keeps a negative fitted δ instead of clamping
-	// to zero and refitting γ alone.
-	AllowNegativeDelta bool
-	// MinDelta is the magnitude below which δ is zeroed (default 1 µs,
-	// matching the paper's treatment of the Myrinet fit).
-	MinDelta float64
 }
+
+// minDelta is the magnitude below which a fitted δ is zeroed (1 µs,
+// matching the paper's treatment of the Myrinet fit: "a start-up cost δ
+// smaller than 1 microsecond").
+const minDelta = 1e-6
 
 // Report carries fit diagnostics.
 type Report struct {
@@ -76,10 +76,6 @@ func Fit(h model.Hockney, n int, samples []Sample, opts Options) (model.Signatur
 	if n < 2 {
 		return model.Signature{}, Report{}, fmt.Errorf("signature: need n >= 2, got %d", n)
 	}
-	if opts.MinDelta == 0 {
-		opts.MinDelta = 1e-6
-	}
-
 	candidates := thresholdCandidates(samples, opts)
 	rep := Report{Candidates: make(map[int]float64, len(candidates))}
 	best := model.Signature{}
@@ -126,7 +122,7 @@ func Fit(h model.Hockney, n int, samples []Sample, opts Options) (model.Signatur
 		bestSSE = sseOf(best, n, samples, opts)
 	}
 	// Sub-threshold positive δ is measurement noise: drop it.
-	if best.Delta >= 0 && best.Delta < opts.MinDelta && best.Delta != 0 {
+	if best.Delta >= 0 && best.Delta < minDelta && best.Delta != 0 {
 		g, err := fitGammaOnly(h, n, samples, opts)
 		if err == nil {
 			best.Gamma = g
@@ -191,7 +187,7 @@ func fitAt(h model.Hockney, n int, samples []Sample, M int, opts Options) (model
 	if err != nil {
 		return model.Signature{}, 0, err
 	}
-	if delta < 0 && !opts.AllowNegativeDelta {
+	if delta < 0 {
 		gamma, err = stats.ScaleFit(x1, y, w)
 		if err != nil {
 			return model.Signature{}, 0, err
@@ -226,7 +222,7 @@ func refitDeltaOnly(h model.Hockney, n int, samples []Sample, candidates []int, 
 		if den > 0 {
 			delta = num / den
 		}
-		if delta < 0 && !opts.AllowNegativeDelta {
+		if delta < 0 {
 			delta = 0
 		}
 		sig := model.Signature{H: h, Gamma: 1, Delta: delta, M: M, SampleN: n}

@@ -126,13 +126,6 @@ func TestNegativeDeltaClamped(t *testing.T) {
 	if got.Delta != 0 {
 		t.Fatalf("δ = %v, want clamped 0", got.Delta)
 	}
-	allowed, _, err := Fit(h, n, samples, Options{FixedM: 4096, AllowNegativeDelta: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allowed.Delta >= 0 {
-		t.Fatalf("AllowNegativeDelta ignored: δ = %v", allowed.Delta)
-	}
 }
 
 func TestUniformVsRelativeWeighting(t *testing.T) {
@@ -204,7 +197,7 @@ func TestGammaClampedToPhysicalBound(t *testing.T) {
 }
 
 func TestMinDeltaThreshold(t *testing.T) {
-	// δ of 0.5 µs (sub-MinDelta) is treated as nonexistent.
+	// δ of 0.5 µs (sub-minDelta) is treated as nonexistent.
 	truth := model.Signature{H: h, Gamma: 2.5, Delta: 5e-7, M: 4096}
 	const n = 24
 	got, _, err := Fit(h, n, synth(truth, n, sweep), Options{})

@@ -22,9 +22,6 @@ type Proc struct {
 	state  procState
 }
 
-// Name returns the process's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
 // Sim returns the owning simulator.
 func (p *Proc) Sim() *Simulator { return p.sim }
 
@@ -86,10 +83,6 @@ func (p *Proc) Sleep(d Time) {
 	p.sim.After(d, func() { p.unparkNow() })
 	p.park()
 }
-
-// Yield reschedules the process at the current timestamp, letting other
-// events at the same instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // futWaiter is one parked process waiting on a Future. A timed wait that
 // gives up marks its entry cancelled rather than removing it, so the
@@ -169,43 +162,4 @@ func (p *Proc) AwaitTimeout(f *Future, d Time) bool {
 	}
 	completed = true
 	return true
-}
-
-// AwaitAll blocks until every future in fs has completed.
-func (p *Proc) AwaitAll(fs ...*Future) {
-	for _, f := range fs {
-		p.Await(f)
-	}
-}
-
-// WaitGroup counts outstanding work items for simulated processes. Unlike
-// sync.WaitGroup it is single-threaded and integrates with the simulated
-// clock.
-type WaitGroup struct {
-	n      int
-	future Future
-}
-
-// Add registers delta outstanding items.
-func (wg *WaitGroup) Add(delta int) { wg.n += delta }
-
-// DoneOne marks one item complete, waking waiters when the count hits zero.
-func (wg *WaitGroup) DoneOne(s *Simulator) {
-	wg.n--
-	if wg.n < 0 {
-		panic("sim: WaitGroup count below zero")
-	}
-	if wg.n == 0 {
-		wg.future.Complete(s)
-		wg.future = Future{} // reusable for a next round
-	}
-}
-
-// Wait blocks until the count reaches zero. If it is already zero, Wait
-// returns immediately.
-func (p *Proc) Wait(wg *WaitGroup) {
-	if wg.n == 0 {
-		return
-	}
-	p.Await(&wg.future)
 }

@@ -38,14 +38,13 @@ func (h *eventHeap) Pop() interface{} {
 // safe for concurrent use: all interaction must happen from the event loop
 // goroutine or from the single active simulated process.
 type Simulator struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	rng     *rand.Rand
-	ctrl    chan struct{} // hand-back channel from active proc to the loop
-	procs   []*Proc
-	stopped bool
-	events  uint64 // total events executed, for diagnostics
+	now    Time
+	queue  eventHeap
+	seq    uint64
+	rng    *rand.Rand
+	ctrl   chan struct{} // hand-back channel from active proc to the loop
+	procs  []*Proc
+	events uint64 // total events executed, for diagnostics
 }
 
 // New creates a simulator whose random stream is seeded with seed.
@@ -80,14 +79,10 @@ func (s *Simulator) At(t Time, fn func()) {
 // After schedules fn to run d after the current time.
 func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
-// Stop makes Run return after the current event completes. Pending events
-// are discarded.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events in timestamp order until the queue drains or Stop is
-// called. It returns the final simulated time.
+// Run executes events in timestamp order until the queue drains. It
+// returns the final simulated time.
 func (s *Simulator) Run() Time {
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		ev := heap.Pop(&s.queue).(*event)
 		s.now = ev.at
 		s.events++
@@ -99,7 +94,7 @@ func (s *Simulator) Run() Time {
 // RunUntil executes events with timestamps <= deadline, then returns.
 // The clock is advanced to deadline even if the queue drained earlier.
 func (s *Simulator) RunUntil(deadline Time) Time {
-	for len(s.queue) > 0 && !s.stopped && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		ev := heap.Pop(&s.queue).(*event)
 		s.now = ev.at
 		s.events++
@@ -111,13 +106,10 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	return s.now
 }
 
-// Pending reports the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Blocked returns the processes that are parked waiting for a wakeup.
+// blocked returns the processes that are parked waiting for a wakeup.
 // After Run returns with an empty queue, a non-empty result indicates a
 // deadlock in the simulated program.
-func (s *Simulator) Blocked() []*Proc {
+func (s *Simulator) blocked() []*Proc {
 	var out []*Proc
 	for _, p := range s.procs {
 		if p.state == procParked {
@@ -130,7 +122,7 @@ func (s *Simulator) Blocked() []*Proc {
 // MustQuiesce panics if any spawned process has not finished. Tests use it
 // to assert deadlock-freedom of simulated protocols.
 func (s *Simulator) MustQuiesce() {
-	if blocked := s.Blocked(); len(blocked) > 0 {
+	if blocked := s.blocked(); len(blocked) > 0 {
 		names := make([]string, len(blocked))
 		for i, p := range blocked {
 			names[i] = p.name

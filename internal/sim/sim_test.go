@@ -79,17 +79,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	var count int
-	s.At(1, func() { count++; s.Stop() })
-	s.At(2, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("Stop did not halt the loop: count=%d", count)
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	s := New(1)
 	var wake []Time
@@ -177,31 +166,13 @@ func TestFutureMultipleWaitersFIFO(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	s := New(1)
-	var wg WaitGroup
-	wg.Add(3)
-	var done Time
-	s.Spawn("waiter", func(p *Proc) {
-		p.Wait(&wg)
-		done = p.Now()
-	})
-	s.At(10, func() { wg.DoneOne(s) })
-	s.At(20, func() { wg.DoneOne(s) })
-	s.At(30, func() { wg.DoneOne(s) })
-	s.Run()
-	if done != 30 {
-		t.Fatalf("waitgroup released at %v, want 30", done)
-	}
-}
-
 func TestBlockedDetection(t *testing.T) {
 	s := New(1)
 	var f Future
 	s.Spawn("stuck", func(p *Proc) { p.Await(&f) })
 	s.Run()
-	if len(s.Blocked()) != 1 {
-		t.Fatalf("expected 1 blocked proc, got %d", len(s.Blocked()))
+	if len(s.blocked()) != 1 {
+		t.Fatalf("expected 1 blocked proc, got %d", len(s.blocked()))
 	}
 	defer func() {
 		if recover() == nil {

@@ -26,20 +26,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the sample standard deviation (0 for fewer than 2 points).
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Min returns the minimum (0 for empty input).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -98,13 +84,13 @@ func LinFit(x, y []float64) (a, b float64, err error) {
 	for i := range w {
 		w[i] = 1
 	}
-	return WeightedLinFit(x, y, w)
+	return weightedLinFit(x, y, w)
 }
 
-// WeightedLinFit fits y = a + b·x minimizing Σ wᵢ(yᵢ - a - b·xᵢ)².
+// weightedLinFit fits y = a + b·x minimizing Σ wᵢ(yᵢ - a - b·xᵢ)².
 // A diagonal weight matrix makes this the generalized-least-squares
 // variant the paper uses for signature fitting.
-func WeightedLinFit(x, y, w []float64) (a, b float64, err error) {
+func weightedLinFit(x, y, w []float64) (a, b float64, err error) {
 	if len(x) != len(y) || len(x) != len(w) || len(x) < 2 {
 		return 0, 0, ErrDegenerate
 	}
@@ -180,23 +166,9 @@ func TwoRegressorFit(x1, x2, y, w []float64) (b1, b2 float64, err error) {
 	return b1, b2, nil
 }
 
-// RMSE returns the root-mean-square error between predictions and
-// observations.
-func RMSE(pred, obs []float64) float64 {
-	if len(pred) != len(obs) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - obs[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// RelErr returns (measured/estimated − 1), the paper's error metric
+// relErr returns (measured/estimated − 1), the paper's error metric
 // (multiply by 100 for percent).
-func RelErr(measured, estimated float64) float64 {
+func relErr(measured, estimated float64) float64 {
 	if estimated == 0 {
 		return math.NaN()
 	}
@@ -211,7 +183,7 @@ func MeanAbsRelErr(measured, estimated []float64) float64 {
 	}
 	var s float64
 	for i := range measured {
-		s += math.Abs(RelErr(measured[i], estimated[i]))
+		s += math.Abs(relErr(measured[i], estimated[i]))
 	}
 	return s / float64(len(measured))
 }

@@ -16,8 +16,8 @@ func mkHalves(seed int64) (*sim.Simulator, *tcpConn, *tcpConn) {
 	b := nw.AddHost("b")
 	nw.Connect(a, b, netsim.LinkConfig{Rate: 125_000_000, Latency: 10 * sim.Microsecond})
 	nw.ComputeRoutes()
-	epA := NewEndpoint(nw, a)
-	epB := NewEndpoint(nw, b)
+	epA := newEndpoint(nw, a)
+	epB := newEndpoint(nw, b)
 	cfg := DefaultTCPConfig().withDefaults()
 	ca := newTCPHalf(nw, epA, epB, cfg)
 	cb := newTCPHalf(nw, epB, epA, cfg)

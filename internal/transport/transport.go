@@ -115,8 +115,8 @@ type Endpoint struct {
 type dataSink interface{ onData(pkt *netsim.Packet) }
 type ackSink interface{ onAck(pkt *netsim.Packet) }
 
-// NewEndpoint attaches a transport stack to a host device.
-func NewEndpoint(n *netsim.Network, host *netsim.Device) *Endpoint {
+// newEndpoint attaches a transport stack to a host device.
+func newEndpoint(n *netsim.Network, host *netsim.Device) *Endpoint {
 	ep := &Endpoint{
 		net: n, host: host, id: host.ID(),
 		data: make(map[uint64]dataSink),
@@ -142,7 +142,6 @@ func (ep *Endpoint) onPacket(pkt *netsim.Packet) {
 // Fabric wires a full mesh of connections between a set of hosts using
 // one transport kind. It is the object the MPI runtime builds on.
 type Fabric struct {
-	kind  Kind
 	eps   []*Endpoint
 	conns [][]Conn // conns[i][j]: connection at host i with peer j
 }
@@ -270,10 +269,10 @@ type FabricConfig struct {
 // NewFabric builds endpoints for the given hosts and a full mesh of
 // connections among them.
 func NewFabric(n *netsim.Network, hosts []*netsim.Device, cfg FabricConfig) *Fabric {
-	f := &Fabric{kind: cfg.Kind}
+	f := &Fabric{}
 	f.eps = make([]*Endpoint, len(hosts))
 	for i, h := range hosts {
-		f.eps[i] = NewEndpoint(n, h)
+		f.eps[i] = newEndpoint(n, h)
 	}
 	tcpCfg := cfg.TCP.withDefaults()
 	gmCfg := cfg.GM.withDefaults()
@@ -356,9 +355,6 @@ func (f *Fabric) Quench(i int) {
 
 // NumHosts returns the mesh size.
 func (f *Fabric) NumHosts() int { return len(f.eps) }
-
-// Kind returns the transport kind of the fabric.
-func (f *Fabric) Kind() Kind { return f.kind }
 
 // TotalStats sums sender-half counters across all connections.
 func (f *Fabric) TotalStats() ConnStats {
