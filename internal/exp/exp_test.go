@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -121,7 +122,8 @@ type goldenCase struct {
 
 // runGolden runs every case once at tinyConfig and feeds the one Result
 // to both the case's check and a byte-for-byte compare of its WriteCSV
-// output against its section of testdata/<file>. The experiments share
+// output, followed by its notes as "## <note>" lines, against its
+// section of testdata/<file>. The experiments share
 // no mutable state (own cluster or topology, planner, nil collector), so
 // they run as parallel subtests, and the golden tables run in parallel
 // with each other. With -update the file is rewritten in case order
@@ -153,6 +155,9 @@ func runGolden(t *testing.T, file string, cases []goldenCase) {
 				}
 				var buf bytes.Buffer
 				WriteCSV(&buf, res)
+				for _, n := range res.Notes {
+					fmt.Fprintf(&buf, "## %s\n", n)
+				}
 				got[i] = buf.String()
 				if !*updateGolden && got[i] != want[tc.id] {
 					t.Errorf("CSV drifted from %s (run with -update if intended)\ngot:\n%swant:\n%s",
