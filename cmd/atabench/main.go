@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/coll"
@@ -47,6 +48,10 @@ func main() {
 		return
 	}
 
+	if err := checkFlags(*scale, *reps); err != nil {
+		fmt.Fprintf(os.Stderr, "atabench: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := exp.DefaultConfig()
 	if *full {
 		cfg = exp.PaperConfig()
@@ -132,4 +137,17 @@ func main() {
 		}
 		fmt.Printf("observability trace (%d events) written to %s\n", len(cfg.Trace.Events()), *trace)
 	}
+}
+
+// checkFlags rejects a scale or repetition count the run would otherwise
+// drop silently: 0 keeps the configuration's value, anything else must
+// be a usable positive number.
+func checkFlags(scale float64, reps int) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("-scale must be a positive finite number (0 keeps the default), got %v", scale)
+	}
+	if reps < 0 {
+		return fmt.Errorf("-reps must be positive (0 keeps the default), got %d", reps)
+	}
+	return nil
 }

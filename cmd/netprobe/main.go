@@ -30,6 +30,9 @@ func main() {
 	flag.Parse()
 
 	p, err := cluster.ByName(*profile)
+	if err == nil {
+		err = checkFlags(*nodes, *conns, *size)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netprobe: %v\n", err)
 		os.Exit(2)
@@ -52,4 +55,19 @@ func main() {
 	bf, bc := calib.ExtractBetas(single, heavy)
 	fmt.Printf("betaF=%.4g s/B  betaC=%.4g s/B  synthetic beta(rho=0.5)=%.4g s/B\n",
 		bf, bc, 0.5*bf+0.5*bc)
+}
+
+// checkFlags rejects probe shapes the saturation probe cannot run: a
+// connection needs two distinct nodes, and the statistics need at least
+// one connection carrying at least one byte.
+func checkFlags(nodes, conns, size int) error {
+	switch {
+	case nodes < 2:
+		return fmt.Errorf("-nodes must be at least 2, got %d", nodes)
+	case conns < 1:
+		return fmt.Errorf("-conns must be at least 1, got %d", conns)
+	case size < 1:
+		return fmt.Errorf("-size must be at least 1 byte, got %d", size)
+	}
+	return nil
 }

@@ -27,16 +27,21 @@ import (
 
 func main() {
 	var (
-		profile = flag.String("profile", "", "cluster profile to simulate and fit")
-		n       = flag.Int("n", 24, "process count n' of the samples")
-		csvPath = flag.String("csv", "", "CSV file with msg_bytes,time_s samples")
-		alpha   = flag.Float64("alpha", 0, "Hockney α (s), required with -csv")
-		beta    = flag.Float64("beta", 0, "Hockney β (s/B), required with -csv")
-		fixedM  = flag.Int("M", 0, "fix the δ threshold instead of scanning")
-		uniform = flag.Bool("uniform", false, "uniform weighting instead of relative (GLS)")
-		seed    = flag.Int64("seed", 1, "simulation seed (profile mode)")
+		profile  = flag.String("profile", "", "cluster profile to simulate and fit")
+		n        = flag.Int("n", 24, "process count n' of the samples")
+		csvPath  = flag.String("csv", "", "CSV file with msg_bytes,time_s samples")
+		alpha    = flag.Float64("alpha", 0, "Hockney α (s), required with -csv")
+		beta     = flag.Float64("beta", 0, "Hockney β (s/B), required with -csv")
+		fixedM   = flag.Int("M", 0, "fix the δ threshold instead of scanning")
+		relative = flag.Bool("relative", false, "relative (1/T², GLS) weighting instead of the default uniform (OLS)")
+		seed     = flag.Int64("seed", 1, "simulation seed (profile mode)")
 	)
 	flag.Parse()
+
+	if err := checkFlags(*n); err != nil {
+		fmt.Fprintf(os.Stderr, "sigfit: %v\n", err)
+		os.Exit(2)
+	}
 
 	var h model.Hockney
 	var samples []signature.Sample
@@ -75,8 +80,8 @@ func main() {
 	}
 
 	opts := signature.Options{FixedM: *fixedM}
-	if *uniform {
-		opts.Weighting = signature.Uniform
+	if *relative {
+		opts.Weighting = signature.Relative
 	}
 	sig, rep, err := signature.Fit(h, *n, samples, opts)
 	if err != nil {
@@ -89,6 +94,15 @@ func main() {
 	for _, pn := range []int{8, 16, 24, 40, 64} {
 		fmt.Printf("  n=%2d m=1MB: %.4fs\n", pn, sig.Predict(pn, 1<<20))
 	}
+}
+
+// checkFlags rejects a process count no All-to-All can be fitted at: the
+// exchange needs at least two ranks.
+func checkFlags(n int) error {
+	if n < 2 {
+		return fmt.Errorf("-n must be at least 2, got %d", n)
+	}
+	return nil
 }
 
 // readSamples parses "msg_bytes,time_s" lines, skipping comments.

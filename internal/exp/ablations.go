@@ -5,7 +5,6 @@ import (
 	"repro/internal/coll"
 	"repro/internal/model"
 	"repro/internal/mpi"
-	"repro/internal/signature"
 )
 
 // AB1: All-to-All algorithm choice under contention. The paper models
@@ -32,19 +31,17 @@ func init() {
 				h := hockneyFor(p, cfg)
 				lb := model.LowerBound(h, n, m)
 				for ai, alg := range coll.Algorithms {
-					cl := cluster.Build(p, n, cfg.Seed+int64(ai))
-					w := mpi.NewWorld(cl, mpi.Config{})
-					meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) {
-						coll.Alltoall(r, m, alg)
-					})
+					algCfg := cfg
+					algCfg.Algorithm = alg
+					mean := alltoallPoint(p, n, m, algCfg, int64(ai))
 					// Label rows with the algorithm that actually ran
 					// (Pairwise falls back to Direct off powers of two).
 					eff := alg.Effective(n)
-					s.Rows = append(s.Rows, []float64{float64(pi), float64(eff), meas.Mean(), meas.Mean() / lb})
+					s.Rows = append(s.Rows, []float64{float64(pi), float64(eff), mean, mean / lb})
 					if eff != alg {
 						res.Note("%s: requested %s, ran %s (n=%d not a power of two)", p.Name, alg, eff, n)
 					}
-					res.Note("%s/%s: %.4fs (%.2fx LB)", p.Name, eff, meas.Mean(), meas.Mean()/lb)
+					res.Note("%s/%s: %.4fs (%.2fx LB)", p.Name, eff, mean, mean/lb)
 				}
 			}
 			res.Series = append(res.Series, s)
@@ -70,13 +67,7 @@ func init() {
 			for _, buf := range []int{32 << 10, 64 << 10, 128 << 10, 512 << 10} {
 				p := cluster.GigabitEthernet()
 				p.PortBuffer = buf
-				h := hockneyFor(p, cfg)
-				curve := alltoallCurve(p, n, messageSweep(cfg.Scale), cfg)
-				samples := make([]signature.Sample, len(curve))
-				for i, c := range curve {
-					samples[i] = signature.Sample{M: c.M, T: c.Mean}
-				}
-				sig, _, err := signature.Fit(h, n, samples, signature.Options{})
+				_, _, sig, _, err := fitProfile(p, n, cfg)
 				if err != nil {
 					res.Note("buf=%d: fit failed: %v", buf, err)
 					continue

@@ -6,6 +6,10 @@
 // factor curves, GR6 failover and replan resilience, GR7 the collective
 // suite's sim-vs-model ranking agreement). Each experiment returns
 // tabular Series that cmd/atabench prints and bench_test.go reports.
+// F06–F14 and TA are views of one Section 7 fit per row of the
+// paperNets table, the single-cluster experiments measure through one
+// helper, measure, and the grid experiments are case tables over one
+// gridSweep.
 //
 // Experiments accept a Config whose Scale field shrinks grids and
 // message sizes so the full suite stays affordable in CI; Scale = 1
@@ -15,6 +19,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/calib"
@@ -141,77 +146,57 @@ func ByID(id string) (Experiment, error) {
 
 // scaleSize scales a byte count, keeping at least 256 bytes.
 func scaleSize(m int, scale float64) int {
-	s := int(float64(m) * scale)
-	if s < 256 {
-		s = 256
-	}
-	return s
+	return scaleCount(m, scale, 256)
 }
 
 // scaleCount scales an integer count, keeping at least lo.
 func scaleCount(n int, scale float64, lo int) int {
-	s := int(float64(n) * scale)
-	if s < lo {
-		s = lo
-	}
-	return s
+	return max(int(float64(n)*scale), lo)
 }
 
 // messageSweep returns the paper's message-size sweep (to 1.2 MB),
 // scaled. It always contains enough points for a signature fit.
 func messageSweep(scale float64) []int {
-	base := []int{
+	return scaleSizes([]int{
 		1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10,
 		256 << 10, 512 << 10, 768 << 10, 1 << 20, 1<<20 + 200<<10,
-	}
+	}, scale)
+}
+
+// scaleSizes scales every byte count of base, sorted and without the
+// duplicates the 256-byte floor can produce.
+func scaleSizes(base []int, scale float64) []int {
 	out := make([]int, len(base))
 	for i, m := range base {
 		out[i] = scaleSize(m, scale)
 	}
-	return dedupInts(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func dedupInts(in []int) []int {
-	sort.Ints(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+// measure runs op on a fresh n-node cluster of p seeded cfg.Seed +
+// seedShift and returns its mean time over cfg.Reps after cfg.Warmup.
+// Only AB3 (its own mpi.Config) and AB2's timeout count measure inline.
+func measure(p cluster.Profile, n int, cfg Config, seedShift int64, op func(r *mpi.Rank)) float64 {
+	w := mpi.NewWorld(cluster.Build(p, n, cfg.Seed+seedShift), mpi.Config{})
+	return coll.Measure(w, cfg.Warmup, cfg.Reps, op).Mean()
 }
 
-// CurvePoint is one measured (message size → completion time) point.
-type CurvePoint struct {
-	M    int
-	Mean float64
+// alltoallPoint measures one cfg.Algorithm All-to-All of m bytes per
+// peer on n nodes.
+func alltoallPoint(p cluster.Profile, n, m int, cfg Config, seedShift int64) float64 {
+	return measure(p, n, cfg, seedShift, func(r *mpi.Rank) { coll.Alltoall(r, m, cfg.Algorithm) })
 }
 
 // alltoallCurve measures the All-to-All completion time across a message
-// size sweep at fixed process count. Each point runs on a fresh cluster
-// (seeded deterministically) with warmup repetitions.
-func alltoallCurve(p cluster.Profile, n int, sizes []int, cfg Config) []CurvePoint {
-	out := make([]CurvePoint, 0, len(sizes))
+// size sweep at fixed process count, point i on a fresh cluster seeded
+// with shift 101·i.
+func alltoallCurve(p cluster.Profile, n int, sizes []int, cfg Config) []signature.Sample {
+	out := make([]signature.Sample, len(sizes))
 	for i, m := range sizes {
-		cl := cluster.Build(p, n, cfg.Seed+int64(i)*101)
-		w := mpi.NewWorld(cl, mpi.Config{})
-		meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) {
-			coll.Alltoall(r, m, cfg.Algorithm)
-		})
-		out = append(out, CurvePoint{M: m, Mean: meas.Mean()})
+		out[i] = signature.Sample{M: m, T: alltoallPoint(p, n, m, cfg, int64(i)*101)}
 	}
 	return out
-}
-
-// alltoallPoint measures a single (n, m) combination.
-func alltoallPoint(p cluster.Profile, n, m int, cfg Config, seedShift int64) float64 {
-	cl := cluster.Build(p, n, cfg.Seed+seedShift)
-	w := mpi.NewWorld(cl, mpi.Config{})
-	meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) {
-		coll.Alltoall(r, m, cfg.Algorithm)
-	})
-	return meas.Mean()
 }
 
 // hockneyFor calibrates the Hockney parameters for a profile.
@@ -221,13 +206,9 @@ func hockneyFor(p cluster.Profile, cfg Config) model.Hockney {
 
 // fitProfile calibrates, measures a sweep at n′ and fits the signature —
 // the full Section 7 procedure for one network.
-func fitProfile(p cluster.Profile, n int, cfg Config) (model.Hockney, []CurvePoint, model.Signature, signature.Report, error) {
+func fitProfile(p cluster.Profile, n int, cfg Config) (model.Hockney, []signature.Sample, model.Signature, signature.Report, error) {
 	h := hockneyFor(p, cfg)
 	curve := alltoallCurve(p, n, messageSweep(cfg.Scale), cfg)
-	samples := make([]signature.Sample, len(curve))
-	for i, c := range curve {
-		samples[i] = signature.Sample{M: c.M, T: c.Mean}
-	}
-	sig, rep, err := signature.Fit(h, n, samples, signature.Options{})
+	sig, rep, err := signature.Fit(h, n, curve, signature.Options{})
 	return h, curve, sig, rep, err
 }

@@ -180,7 +180,7 @@ func runGolden(t *testing.T, file string, cases []goldenCase) {
 // figures F02–F14, the signature table TA, the ablations AB1–AB3 and the
 // extensions EX1–EX3 — against testdata/lan_tiny.golden, so a refactor
 // under them (calibration, fitting, the mpi runtime's constants) must
-// reproduce every CSV cell at CI scale. F12 (Myrinet, the fastest
+// reproduce every CSV cell and note at CI scale. F12 (Myrinet, the fastest
 // profile) also carries the fit shape checks. Refresh with `go test
 // ./internal/exp -run TestLANExperimentRuns -update` after an
 // intentional model or simulator change.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/model"
@@ -18,34 +20,10 @@ import (
 //	EX3 — "extend our models to other collective communication
 //	       operations"
 func init() {
-	register(Experiment{
-		ID:    "EX1",
-		Title: "Extension: contention signature of an InfiniBand-like fabric",
-		Run: func(cfg Config) Result {
-			cfg = cfg.withDefaults()
-			res := Result{ID: "EX1", Title: "InfiniBand-like"}
-			p := cluster.InfiniBandLike()
-			n := scaleCount(24, cfg.Scale, 8)
-			h, curve, sig, rep, err := fitProfile(p, n, cfg)
-			if err != nil {
-				res.Note("fit failed: %v", err)
-				return res
-			}
-			s := Series{
-				Name: "fit",
-				Cols: []string{"msg_bytes", "measured_s", "lower_bound_s", "prediction_s", "ratio_vs_lb"},
-			}
-			for _, c := range curve {
-				lb := model.LowerBound(h, n, c.M)
-				s.Rows = append(s.Rows, []float64{float64(c.M), c.Mean, lb, sig.Predict(n, c.M), c.Mean / lb})
-			}
-			res.Series = append(res.Series, s)
-			res.Note("hockney: %s", h)
-			res.Note("signature: %s (MAPE %.1f%%)", sig, rep.MAPE*100)
-			res.Note("expected shape: lossless like Myrinet -> pure γ, δ≈0, γ between 1 and Myrinet's")
-			return res
-		},
-	})
+	register(fitExperiment(
+		figure{"EX1", "Extension: contention signature of an InfiniBand-like fabric"},
+		"InfiniBand-like", cluster.InfiniBandLike, 24,
+		"expected shape: lossless like Myrinet -> pure γ, δ≈0, γ between 1 and Myrinet's"))
 
 	register(Experiment{
 		ID:    "EX2",
@@ -68,9 +46,6 @@ func init() {
 			var pts []signature.NPoint
 			for gi, n := range []int{2, 4, 6, 8, 12, 16, 24, 32, 40} {
 				n = scaleCount(n, cfg.Scale, 2)
-				if n < 2 {
-					continue
-				}
 				for si, m := range []int{m1, m2} {
 					t := alltoallPoint(p, n, m, cfg, int64(5000+gi*53+si))
 					pts = append(pts, signature.NPoint{N: n, M: m, T: t})
@@ -92,8 +67,8 @@ func init() {
 				ePlain := (pt.T/sig.Predict(pt.N, pt.M) - 1) * 100
 				eHS := (pt.T/hs.Predict(pt.N, pt.M) - 1) * 100
 				s.Rows = append(s.Rows, []float64{float64(pt.N), float64(pt.M), pt.T, ePlain, eHS})
-				plainSum += abs(ePlain)
-				hsSum += abs(eHS)
+				plainSum += math.Abs(ePlain)
+				hsSum += math.Abs(eHS)
 			}
 			res.Series = append(res.Series, s)
 			res.Note("mean |error|: plain signature %.1f%%, half-saturated %.1f%%",
@@ -136,10 +111,8 @@ func init() {
 			for ci, c := range cases {
 				var samples []signature.Sample
 				for i, m := range messageSweep(cfg.Scale) {
-					cl := cluster.Build(p, n, cfg.Seed+int64(ci*1000+i))
-					w := mpi.NewWorld(cl, mpi.Config{})
-					meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) { c.op(r, m) })
-					samples = append(samples, signature.Sample{M: m, T: meas.Mean()})
+					t := measure(p, n, cfg, int64(ci*1000+i), func(r *mpi.Rank) { c.op(r, m) })
+					samples = append(samples, signature.Sample{M: m, T: t})
 				}
 				// Generalize the lower bound via the round count: scale
 				// the Hockney parameters so LB(n,m) = rounds·(α+mβ).
@@ -164,13 +137,6 @@ func init() {
 			return res
 		},
 	})
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func log2ceil(n int) int {

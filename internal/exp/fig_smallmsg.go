@@ -23,15 +23,11 @@ func init() {
 
 			step := 256 * 4                        // paper uses 256-byte intervals; we stride 1 KiB
 			maxM := scaleSize(16<<10, cfg.Scale*4) // keep the full small range
-			var nodes []int
-			for _, n := range []int{4, 8, 12, 16} {
-				nodes = append(nodes, n)
-			}
 			s := Series{
 				Name: "smallmsg",
 				Cols: []string{"nodes", "msg_bytes", "measured_s", "lower_bound_s", "ratio"},
 			}
-			for gi, n := range nodes {
+			for gi, n := range []int{4, 8, 12, 16} {
 				for m := step; m <= maxM; m += step {
 					meas := alltoallPoint(p, n, m, cfg, int64(gi*211+m))
 					lb := model.LowerBound(h, n, m)

@@ -36,7 +36,7 @@ func init() {
 			}
 			for _, c := range curve {
 				s.Rows = append(s.Rows, []float64{
-					float64(c.M), c.Mean, tb.Predict(n, c.M), naive.Predict(n, c.M),
+					float64(c.M), c.T, tb.Predict(n, c.M), naive.Predict(n, c.M),
 				})
 			}
 			res.Series = append(res.Series, s)

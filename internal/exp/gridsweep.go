@@ -144,11 +144,8 @@ type gridCase struct {
 // All-to-All per size, keyed by msg_bytes. The sizes are given at the
 // CI default scale.
 func alltoallCases(cfg Config, sizes ...int) []gridCase {
-	for i := range sizes {
-		sizes[i] = scaleSize(sizes[i], cfg.Scale/0.25)
-	}
 	var cases []gridCase
-	for _, m := range dedupInts(sizes) {
+	for _, m := range scaleSizes(sizes, cfg.Scale/0.25) {
 		cases = append(cases, gridCase{fmt.Sprintf("m=%d", m), []float64{float64(m)}, coll.Uniform(coll.KindAlltoall, m)})
 	}
 	return cases
