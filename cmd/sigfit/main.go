@@ -1,7 +1,8 @@
 // Command sigfit fits a contention signature (γ, δ, M) from All-to-All
 // measurements. It either reads samples from a CSV file (columns:
 // msg_bytes,time_s) together with explicit Hockney parameters, or runs
-// the full in-simulator procedure for a named cluster profile.
+// the full in-simulator procedure for a named cluster profile. The fit
+// is ordinary least squares (every sample weighted equally).
 //
 // Usage:
 //
@@ -27,15 +28,20 @@ import (
 
 func main() {
 	var (
-		profile  = flag.String("profile", "", "cluster profile to simulate and fit")
-		n        = flag.Int("n", 24, "process count n' of the samples")
-		csvPath  = flag.String("csv", "", "CSV file with msg_bytes,time_s samples")
-		alpha    = flag.Float64("alpha", 0, "Hockney α (s), required with -csv")
-		beta     = flag.Float64("beta", 0, "Hockney β (s/B), required with -csv")
-		fixedM   = flag.Int("M", 0, "fix the δ threshold instead of scanning")
-		relative = flag.Bool("relative", false, "relative (1/T², GLS) weighting instead of the default uniform (OLS)")
-		seed     = flag.Int64("seed", 1, "simulation seed (profile mode)")
+		profile = flag.String("profile", "", "cluster profile to simulate and fit")
+		n       = flag.Int("n", 24, "process count n' of the samples")
+		csvPath = flag.String("csv", "", "CSV file with msg_bytes,time_s samples")
+		alpha   = flag.Float64("alpha", 0, "Hockney α (s), required with -csv")
+		beta    = flag.Float64("beta", 0, "Hockney β (s/B), required with -csv")
+		fixedM  = flag.Int("M", 0, "fix the δ threshold instead of scanning")
+		seed    = flag.Int64("seed", 1, "simulation seed (profile mode)")
 	)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(),
+			"usage: sigfit -profile NAME | -csv FILE -alpha A -beta B [flags]\n"+
+				"Fits the contention signature (γ, δ, M) by ordinary least squares.")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if err := checkFlags(*n); err != nil {
@@ -79,11 +85,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := signature.Options{FixedM: *fixedM}
-	if *relative {
-		opts.Weighting = signature.Relative
-	}
-	sig, rep, err := signature.Fit(h, *n, samples, opts)
+	sig, rep, err := signature.Fit(h, *n, samples, signature.Options{FixedM: *fixedM})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigfit: %v\n", err)
 		os.Exit(1)

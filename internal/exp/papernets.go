@@ -62,8 +62,8 @@ func init() {
 		register(fitExperiment(net.fitFig, net.fitFig.title, net.profile, net.fitN,
 			fmt.Sprintf("paper reports: γ=%.4f δ=%.2fms at n'=%d (shape comparison only)",
 				net.gamma, net.deltaMS, net.fitN)))
-		register(surfaceView.experiment(net.surfaceFig, net, net.surfaceN))
-		register(errorView.experiment(net.errFig, net, net.errN))
+		register(surfaceView.experiment(net.surfaceFig, net.surfaceN, net.profile, net.fitN))
+		register(errorView.experiment(net.errFig, net.errN, net.profile, net.fitN))
 	}
 	register(Experiment{
 		ID:    "TA",
@@ -148,16 +148,16 @@ var errorView = extrapolation{
 	},
 }
 
-// experiment registers view v of net as figure f, sweeping the process
-// counts gridN (scaled).
-func (v extrapolation) experiment(f figure, net paperNet, gridN []int) Experiment {
+// experiment registers view v on profile as figure f, fitted at n′ = fitN
+// and sweeping the process counts gridN (both scaled).
+func (v extrapolation) experiment(f figure, gridN []int, profile func() cluster.Profile, fitN int) Experiment {
 	return Experiment{
 		ID:    f.id,
 		Title: f.title,
 		Run: func(cfg Config) Result {
 			cfg = cfg.withDefaults()
-			p := net.profile()
-			n := scaleCount(net.fitN, cfg.Scale, 8)
+			p := profile()
+			n := scaleCount(fitN, cfg.Scale, 8)
 			res := Result{ID: f.id, Title: f.title}
 			h, _, sig, _, err := fitProfile(p, n, cfg)
 			if err != nil {
@@ -172,9 +172,10 @@ func (v extrapolation) experiment(f figure, net paperNet, gridN []int) Experimen
 				Name: v.series,
 				Cols: []string{"nodes", "msg_bytes", "measured_s", v.predCol, v.errCol},
 			}
+			sizes := scaleSizes(v.sizes, cfg.Scale)
 			for gi, gn := range gridN {
 				gn = scaleCount(gn, cfg.Scale, 4)
-				for si, m := range scaleSizes(v.sizes, cfg.Scale) {
+				for si, m := range sizes {
 					meas := alltoallPoint(p, gn, m, cfg, v.seedShift(gi, si))
 					pred := sig.Predict(gn, m)
 					s.Rows = append(s.Rows, []float64{float64(gn), float64(m), meas, pred, (meas/pred - 1) * 100})
