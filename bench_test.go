@@ -24,7 +24,6 @@ func benchConfig() exp.Config {
 	cfg := exp.DefaultConfig()
 	cfg.Scale = *benchScale
 	cfg.Seed = *benchSeed
-	cfg.Warmup = 1
 	cfg.Reps = 1
 	return cfg
 }

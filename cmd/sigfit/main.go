@@ -1,8 +1,9 @@
 // Command sigfit fits a contention signature (γ, δ, M) from All-to-All
 // measurements. It either reads samples from a CSV file (columns:
 // msg_bytes,time_s) together with explicit Hockney parameters, or runs
-// the full in-simulator procedure for a named cluster profile. The fit
-// is ordinary least squares (every sample weighted equally).
+// the full in-simulator Section 7 procedure, grid.FitLeaf, for a named
+// cluster profile. The fit is ordinary least squares (every sample
+// weighted equally).
 //
 // Usage:
 //
@@ -18,11 +19,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/calib"
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/mpi"
 	"repro/internal/signature"
 )
 
@@ -71,14 +71,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sigfit: %v\n", err)
 			os.Exit(2)
 		}
-		h = calib.PingPong(p, mpi.Config{}, *seed, calib.PingPongConfig{})
+		lf, err := grid.FitLeaf(p, coll.PostAll, grid.Options{
+			FitN:     *n,
+			FitSizes: []int{16 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20},
+			Reps:     2,
+			Seed:     *seed,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sigfit: %v\n", err)
+			os.Exit(1)
+		}
+		h, samples = lf.Hockney, lf.Samples
 		fmt.Printf("calibrated hockney: %s\n", h)
-		for _, m := range []int{16 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20} {
-			cl := cluster.Build(p, *n, *seed+int64(m))
-			w := mpi.NewWorld(cl, mpi.Config{})
-			meas := coll.Measure(w, 1, 2, func(r *mpi.Rank) { coll.Alltoall(r, m, coll.PostAll) })
-			fmt.Printf("measured n=%d m=%d: %.6fs\n", *n, m, meas.Mean())
-			samples = append(samples, signature.Sample{M: m, T: meas.Mean()})
+		for _, s := range samples {
+			fmt.Printf("measured n=%d m=%d: %.6fs\n", *n, s.M, s.T)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "sigfit: need -profile or -csv (see -h)")

@@ -1,55 +1,46 @@
 // Quickstart: characterize a network's contention signature and predict
-// All-to-All performance — the paper's workflow end to end, in ~50
-// lines:
+// All-to-All performance — the paper's workflow end to end, in ~40
+// lines. grid.FitLeaf runs the first three steps:
 //
 //  1. calibrate the contention-free Hockney parameters (ping-pong),
 //  2. measure the All-to-All at one process count n′ across a few
 //     message sizes,
-//  3. fit the contention signature (γ, δ, M),
-//  4. predict completion times for other process counts.
+//  3. fit the contention signature (γ, δ, M);
+//
+// then the signature predicts completion times for other process
+// counts (step 4).
 package main
 
 import (
 	"fmt"
 
-	"repro/internal/calib"
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/mpi"
-	"repro/internal/signature"
 )
 
 func main() {
-	profile := cluster.GigabitEthernet()
-
-	// 1. Contention-free point-to-point calibration.
-	h := calib.PingPong(profile, mpi.Config{}, 1, calib.PingPongConfig{})
-	fmt.Printf("hockney: %s\n", h)
-
-	// 2. Sample the All-to-All at n' = 16.
+	// 1–3. Calibrate, sample the All-to-All at n' = 16 and fit.
 	const fitN = 16
-	var samples []signature.Sample
-	for _, m := range []int{16 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20} {
-		cl := cluster.Build(profile, fitN, int64(m))
-		w := mpi.NewWorld(cl, mpi.Config{})
-		meas := coll.Measure(w, 1, 2, func(r *mpi.Rank) {
-			coll.Alltoall(r, m, coll.PostAll)
-		})
-		fmt.Printf("measured n=%d m=%-8d %.4fs (lower bound %.4fs)\n",
-			fitN, m, meas.Mean(), model.LowerBound(h, fitN, m))
-		samples = append(samples, signature.Sample{M: m, T: meas.Mean()})
-	}
-
-	// 3. Fit the contention signature.
-	sig, rep, err := signature.Fit(h, fitN, samples, signature.Options{})
+	lf, err := grid.FitLeaf(cluster.GigabitEthernet(), coll.PostAll, grid.Options{
+		FitN:     fitN,
+		FitSizes: []int{16 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20},
+		Reps:     2,
+		Seed:     1,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nsignature: %s (fit MAPE %.1f%%)\n\n", sig, rep.MAPE*100)
+	fmt.Printf("hockney: %s\n", lf.Hockney)
+	for _, s := range lf.Samples {
+		fmt.Printf("measured n=%d m=%-8d %.4fs (lower bound %.4fs)\n",
+			fitN, s.M, s.T, model.LowerBound(lf.Hockney, fitN, s.M))
+	}
+	fmt.Printf("\nsignature: %s (fit MAPE %.1f%%)\n\n", lf.Signature, lf.Report.MAPE*100)
 
 	// 4. Predict other configurations without measuring them.
 	for _, n := range []int{8, 24, 40, 64} {
-		fmt.Printf("predicted alltoall n=%2d, m=1MB: %.4fs\n", n, sig.Predict(n, 1<<20))
+		fmt.Printf("predicted alltoall n=%2d, m=1MB: %.4fs\n", n, lf.Signature.Predict(n, 1<<20))
 	}
 }

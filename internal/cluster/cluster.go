@@ -159,26 +159,21 @@ func ByName(name string) (Profile, error) {
 
 // Cluster is a built environment: simulator, network, hosts and fabric.
 type Cluster struct {
-	Profile Profile
-	Sim     *sim.Simulator
-	Net     *netsim.Network
-	Hosts   []*netsim.Device
-	Fabric  *transport.Fabric
+	Sim    *sim.Simulator
+	Net    *netsim.Network
+	Hosts  []*netsim.Device
+	Fabric *transport.Fabric
 }
 
-// Build instantiates a profile with the given node count and seed.
+// Build instantiates a profile with the given node count and seed: the
+// one-leaf BuildGridTree. It panics with BuildGridTree's error if
+// nodes < 1.
 func Build(p Profile, nodes int, seed int64) *Cluster {
-	s := sim.New(seed)
-	nw := netsim.New(s)
-	hosts := make([]*netsim.Device, nodes)
-	for i := 0; i < nodes; i++ {
-		hosts[i] = nw.AddHost(fmt.Sprintf("%s-n%d", p.Name, i))
+	g, err := BuildGridTree(Leaf(p, nodes), seed)
+	if err != nil {
+		panic(err)
 	}
-	buildLAN(nw, p, hosts, "")
-	nw.ComputeRoutes()
-	applyRxCost(p, hosts, nodes)
-	fab := transport.NewFabric(nw, hosts, transport.FabricConfig{Kind: p.Kind, TCP: p.TCP, GM: p.GM})
-	return &Cluster{Profile: p, Sim: s, Net: nw, Hosts: hosts, Fabric: fab}
+	return g.Env
 }
 
 // buildLAN wires hosts into p's intra-cluster switch topology (flat edge

@@ -184,8 +184,9 @@ func BuildGridTree(root TopoNode, seed int64) (*Grid, error) {
 	for c, lf := range leaves {
 		ids := make([]int, lf.Nodes)
 		devs := make([]*netsim.Device, lf.Nodes)
+		prefix := leafPrefix(root, c)
 		for i := 0; i < lf.Nodes; i++ {
-			h := b.nw.AddHost(fmt.Sprintf("%s%s-n%d", leafPrefix(root, c), lf.Profile.Name, i))
+			h := b.nw.AddHost(fmt.Sprintf("%s%s-n%d", prefix, lf.Profile.Name, i))
 			devs[i] = h
 			ids[i] = len(b.hosts)
 			b.hosts = append(b.hosts, h)
@@ -212,10 +213,7 @@ func BuildGridTree(root TopoNode, seed int64) (*Grid, error) {
 	first := leaves[0].Profile
 	fab := transport.NewFabric(b.nw, b.hosts, transport.FabricConfig{Kind: kind, TCP: first.TCP, GM: first.GM})
 	b.g.Routers = b.gwLf
-	b.g.Env = &Cluster{
-		Profile: Profile{Name: root.Name, Kind: kind, TCP: first.TCP, GM: first.GM},
-		Sim:     s, Net: b.nw, Hosts: b.hosts, Fabric: fab,
-	}
+	b.g.Env = &Cluster{Sim: s, Net: b.nw, Hosts: b.hosts, Fabric: fab}
 	return b.g, nil
 }
 

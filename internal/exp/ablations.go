@@ -67,7 +67,7 @@ func init() {
 			for _, buf := range []int{32 << 10, 64 << 10, 128 << 10, 512 << 10} {
 				p := cluster.GigabitEthernet()
 				p.PortBuffer = buf
-				_, _, sig, _, err := fitProfile(p, n, cfg)
+				lf, err := fitProfile(p, n, cfg)
 				if err != nil {
 					res.Note("buf=%d: fit failed: %v", buf, err)
 					continue
@@ -79,10 +79,10 @@ func init() {
 					coll.Alltoall(r, scaleSize(512<<10, cfg.Scale), cfg.Algorithm)
 				})
 				s.Rows = append(s.Rows, []float64{
-					float64(buf), sig.Gamma, sig.Delta * 1e3,
+					float64(buf), lf.Signature.Gamma, lf.Signature.Delta * 1e3,
 					float64(cl.Fabric.TotalStats().Timeouts),
 				})
-				res.Note("buf=%dKB: %s", buf>>10, sig)
+				res.Note("buf=%dKB: %s", buf>>10, lf.Signature)
 			}
 			res.Series = append(res.Series, s)
 			res.Note("expected: smaller buffers -> more loss/RTOs -> larger gamma and delta")
@@ -109,7 +109,7 @@ func init() {
 				for m := 1 << 10; m <= 32<<10; m *= 2 {
 					cl := cluster.Build(p, n, cfg.Seed)
 					w := mpi.NewWorld(cl, mpi.Config{EagerThreshold: thresh})
-					meas := coll.Measure(w, cfg.Warmup, cfg.Reps, func(r *mpi.Rank) {
+					meas := coll.Measure(w, 1, cfg.Reps, func(r *mpi.Rank) {
 						coll.Alltoall(r, m, cfg.Algorithm)
 					})
 					s.Rows = append(s.Rows, []float64{float64(thresh), float64(m), meas.Mean()})

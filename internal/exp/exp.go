@@ -6,9 +6,9 @@
 // factor curves, GR6 failover and replan resilience, GR7 the collective
 // suite's sim-vs-model ranking agreement). Each experiment returns
 // tabular Series that cmd/atabench prints and bench_test.go reports.
-// F06–F14 and TA are views of one Section 7 fit per row of the
-// paperNets table, the single-cluster experiments measure through one
-// helper, measure, and the grid experiments are case tables over one
+// F06–F14 and TA are views of one Section 7 fit (grid.FitLeaf) per row
+// of the paperNets table, the single-cluster experiments measure through
+// one helper, measure, and the grid experiments are case tables over one
 // gridSweep.
 //
 // Experiments accept a Config whose Scale field shrinks grids and
@@ -25,10 +25,10 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/signature"
 	"repro/internal/sim"
 )
 
@@ -37,12 +37,10 @@ type Config struct {
 	// Scale multiplies grid density and maximum message sizes; 1.0 is
 	// the paper's scale. Values in (0, 1) shrink the grids.
 	Scale float64
-	// Warmup and Reps control the per-point measurement protocol (the
-	// paper averaged 100 runs; simulation variance is lower, so small
-	// values suffice). Zero takes DefaultConfig's value, so a run always
-	// has at least one warmup.
-	Warmup int
-	Reps   int
+	// Reps is the measured repetitions per point, after one warmup
+	// (the paper averaged 100 runs; simulation variance is lower, so
+	// small values suffice). Zero takes DefaultConfig's value.
+	Reps int
 	// Seed drives every simulation in the experiment.
 	Seed int64
 	// Algorithm is the All-to-All implementation under test.
@@ -67,21 +65,18 @@ type Config struct {
 
 // DefaultConfig is the CI-affordable configuration.
 func DefaultConfig() Config {
-	return Config{Scale: 0.25, Warmup: 1, Reps: 2, Seed: 1, Algorithm: coll.PostAll}
+	return Config{Scale: 0.25, Reps: 2, Seed: 1, Algorithm: coll.PostAll}
 }
 
 // PaperConfig reproduces the paper's grids.
 func PaperConfig() Config {
-	return Config{Scale: 1.0, Warmup: 1, Reps: 3, Seed: 1, Algorithm: coll.PostAll}
+	return Config{Scale: 1.0, Reps: 3, Seed: 1, Algorithm: coll.PostAll}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Scale == 0 {
 		c.Scale = d.Scale
-	}
-	if c.Warmup == 0 {
-		c.Warmup = d.Warmup
 	}
 	if c.Reps == 0 {
 		c.Reps = d.Reps
@@ -175,11 +170,11 @@ func scaleSizes(base []int, scale float64) []int {
 }
 
 // measure runs op on a fresh n-node cluster of p seeded cfg.Seed +
-// seedShift and returns its mean time over cfg.Reps after cfg.Warmup.
+// seedShift and returns its mean time over cfg.Reps after one warmup.
 // Only AB3 (its own mpi.Config) and AB2's timeout count measure inline.
 func measure(p cluster.Profile, n int, cfg Config, seedShift int64, op func(r *mpi.Rank)) float64 {
 	w := mpi.NewWorld(cluster.Build(p, n, cfg.Seed+seedShift), mpi.Config{})
-	return coll.Measure(w, cfg.Warmup, cfg.Reps, op).Mean()
+	return coll.Measure(w, 1, cfg.Reps, op).Mean()
 }
 
 // alltoallPoint measures one cfg.Algorithm All-to-All of m bytes per
@@ -188,27 +183,14 @@ func alltoallPoint(p cluster.Profile, n, m int, cfg Config, seedShift int64) flo
 	return measure(p, n, cfg, seedShift, func(r *mpi.Rank) { coll.Alltoall(r, m, cfg.Algorithm) })
 }
 
-// alltoallCurve measures the All-to-All completion time across a message
-// size sweep at fixed process count, point i on a fresh cluster seeded
-// with shift 101·i.
-func alltoallCurve(p cluster.Profile, n int, sizes []int, cfg Config) []signature.Sample {
-	out := make([]signature.Sample, len(sizes))
-	for i, m := range sizes {
-		out[i] = signature.Sample{M: m, T: alltoallPoint(p, n, m, cfg, int64(i)*101)}
-	}
-	return out
-}
-
 // hockneyFor calibrates the Hockney parameters for a profile.
 func hockneyFor(p cluster.Profile, cfg Config) model.Hockney {
 	return calib.PingPong(p, mpi.Config{}, cfg.Seed, calib.PingPongConfig{Reps: 3})
 }
 
-// fitProfile calibrates, measures a sweep at n′ and fits the signature —
-// the full Section 7 procedure for one network.
-func fitProfile(p cluster.Profile, n int, cfg Config) (model.Hockney, []signature.Sample, model.Signature, signature.Report, error) {
-	h := hockneyFor(p, cfg)
-	curve := alltoallCurve(p, n, messageSweep(cfg.Scale), cfg)
-	sig, rep, err := signature.Fit(h, n, curve, signature.Options{})
-	return h, curve, sig, rep, err
+// fitProfile runs the full Section 7 procedure for one network,
+// grid.FitLeaf, with a cfg.Algorithm sweep over messageSweep at n′ = n.
+func fitProfile(p cluster.Profile, n int, cfg Config) (grid.LeafFit, error) {
+	return grid.FitLeaf(p, cfg.Algorithm, grid.Options{
+		FitN: n, FitSizes: messageSweep(cfg.Scale), Reps: cfg.Reps, Seed: cfg.Seed})
 }

@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 
 // tinyConfig keeps experiment tests affordable.
 func tinyConfig() Config {
-	return Config{Scale: 0.05, Warmup: 1, Reps: 1, Seed: 3}
+	return Config{Scale: 0.05, Reps: 1, Seed: 3}
 }
 
 func TestRegistryComplete(t *testing.T) {

@@ -33,11 +33,12 @@ func init() {
 			res := Result{ID: "EX2", Title: "Half-saturated model"}
 			p := cluster.GigabitEthernet()
 			fitN := scaleCount(40, cfg.Scale, 8)
-			_, _, sig, _, err := fitProfile(p, fitN, cfg)
+			lf, err := fitProfile(p, fitN, cfg)
 			if err != nil {
 				res.Note("fit failed: %v", err)
 				return res
 			}
+			sig := lf.Signature
 			res.Note("saturated signature at n'=%d: %s", fitN, sig)
 
 			// Measure across process counts at two sizes, fit the ramp.

@@ -21,7 +21,10 @@ func init() {
 			res := Result{ID: "F04", Title: "Fig. 4"}
 			p := cluster.GigabitEthernet()
 			n := scaleCount(40, cfg.Scale, 8)
-			h := hockneyFor(p, cfg)
+			// Only the fit's calibration and sweep are drawn; both are
+			// set even when the signature fit itself fails.
+			lf, _ := fitProfile(p, n, cfg)
+			h := lf.Hockney
 
 			probeSize := scaleSize(32<<20, cfg.Scale)
 			single := calib.SaturationProbe(p, mpi.Config{}, 16, 1, probeSize, cfg.Seed)
@@ -29,12 +32,11 @@ func init() {
 			tb := calib.TwoBetaModel(h, single, heavy)
 			naive := model.Naive{H: h}
 
-			curve := alltoallCurve(p, n, messageSweep(cfg.Scale), cfg)
 			s := Series{
 				Name: "twobeta",
 				Cols: []string{"msg_bytes", "measured_s", "two_beta_prediction_s", "lower_bound_s"},
 			}
-			for _, c := range curve {
+			for _, c := range lf.Samples {
 				s.Rows = append(s.Rows, []float64{
 					float64(c.M), c.T, tb.Predict(n, c.M), naive.Predict(n, c.M),
 				})

@@ -40,7 +40,7 @@ func (cfg Config) simMean(topo cluster.TopoNode, w coll.Workload, strat grid.Str
 	seeds := []int64{cfg.Seed + 6, cfg.Seed + 18}
 	t := 0.0
 	for _, seed := range seeds {
-		sr := grid.SimRun{Seed: seed, Warmup: cfg.Warmup, Reps: cfg.Reps}
+		sr := grid.SimRun{Seed: seed, Warmup: 1, Reps: cfg.Reps}
 		if _, hier := grid.DescribeStrategy(strat); hier {
 			sr.Spec = spec
 		}

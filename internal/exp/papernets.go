@@ -83,7 +83,7 @@ func fitExperiment(f figure, resTitle string, profile func() cluster.Profile, pa
 			cfg = cfg.withDefaults()
 			n := scaleCount(paperN, cfg.Scale, 8)
 			res := Result{ID: f.id, Title: resTitle}
-			h, curve, sig, rep, err := fitProfile(profile(), n, cfg)
+			lf, err := fitProfile(profile(), n, cfg)
 			if err != nil {
 				res.Note("fit failed: %v", err)
 				return res
@@ -92,14 +92,14 @@ func fitExperiment(f figure, resTitle string, profile func() cluster.Profile, pa
 				Name: "fit",
 				Cols: []string{"msg_bytes", "measured_s", "lower_bound_s", "prediction_s", "ratio_vs_lb"},
 			}
-			for _, c := range curve {
-				lb := model.LowerBound(h, n, c.M)
-				s.Rows = append(s.Rows, []float64{float64(c.M), c.T, lb, sig.Predict(n, c.M), c.T / lb})
+			for _, c := range lf.Samples {
+				lb := model.LowerBound(lf.Hockney, n, c.M)
+				s.Rows = append(s.Rows, []float64{float64(c.M), c.T, lb, lf.Signature.Predict(n, c.M), c.T / lb})
 			}
 			res.Series = append(res.Series, s)
-			res.Note("hockney: %s", h)
-			res.Note("signature: %s", sig)
-			res.Note("fit MAPE: %.1f%%", rep.MAPE*100)
+			res.Note("hockney: %s", lf.Hockney)
+			res.Note("signature: %s", lf.Signature)
+			res.Note("fit MAPE: %.1f%%", lf.Report.MAPE*100)
 			res.Note("%s", closing)
 			return res
 		},
@@ -159,15 +159,15 @@ func (v extrapolation) experiment(f figure, gridN []int, profile func() cluster.
 			p := profile()
 			n := scaleCount(fitN, cfg.Scale, 8)
 			res := Result{ID: f.id, Title: f.title}
-			h, _, sig, _, err := fitProfile(p, n, cfg)
+			lf, err := fitProfile(p, n, cfg)
 			if err != nil {
 				res.Note("fit failed: %v", err)
 				return res
 			}
 			if v.noteHockney {
-				res.Note("hockney: %s", h)
+				res.Note("hockney: %s", lf.Hockney)
 			}
-			res.Note("signature fitted at n'=%d: %s", n, sig)
+			res.Note("signature fitted at n'=%d: %s", n, lf.Signature)
 			s := Series{
 				Name: v.series,
 				Cols: []string{"nodes", "msg_bytes", "measured_s", v.predCol, v.errCol},
@@ -177,7 +177,7 @@ func (v extrapolation) experiment(f figure, gridN []int, profile func() cluster.
 				gn = scaleCount(gn, cfg.Scale, 4)
 				for si, m := range sizes {
 					meas := alltoallPoint(p, gn, m, cfg, v.seedShift(gi, si))
-					pred := sig.Predict(gn, m)
+					pred := lf.Signature.Predict(gn, m)
 					s.Rows = append(s.Rows, []float64{float64(gn), float64(m), meas, pred, (meas/pred - 1) * 100})
 				}
 			}
@@ -207,11 +207,12 @@ func tableA(cfg Config) Result {
 		p := net.profile()
 		legend[i] = fmt.Sprintf("%d=%s", i, p.Name)
 		n := scaleCount(net.fitN, cfg.Scale, 8)
-		h, _, sig, _, err := fitProfile(p, n, cfg)
+		lf, err := fitProfile(p, n, cfg)
 		if err != nil {
 			res.Note("%s: fit failed: %v", p.Name, err)
 			continue
 		}
+		h, sig := lf.Hockney, lf.Signature
 		s.Rows = append(s.Rows, []float64{
 			float64(i), float64(n), h.Alpha * 1e6, h.Beta * 1e9,
 			sig.Gamma, sig.Delta * 1e3, float64(sig.M), net.gamma, net.deltaMS,

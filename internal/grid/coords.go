@@ -87,19 +87,8 @@ func probeHeadroom(p cluster.Profile, nodes int, opt Options) []float64 {
 			if r.ID() != pr.a && r.ID() != pr.b {
 				continue
 			}
-			// One unmeasured repetition warms the congestion window.
-			for rep := 0; rep <= opt.Reps; rep++ {
-				if r.ID() == pr.a {
-					t0 := r.Now()
-					r.Send(pr.b, tagNICProbe, m)
-					r.Recv(pr.b, tagNICProbe)
-					if rep > 0 {
-						times[pi] += (r.Now() - t0).Seconds() / 2 / float64(opt.Reps)
-					}
-				} else {
-					r.Recv(pr.a, tagNICProbe)
-					r.Send(pr.a, tagNICProbe, m)
-				}
+			for _, t := range warmPingPong(r, pr.a, pr.b, tagNICProbe, m, opt.Reps) {
+				times[pi] += t / float64(opt.Reps)
 			}
 		}
 	})
@@ -117,6 +106,27 @@ func probeHeadroom(p cluster.Profile, nodes int, opt Options) []float64 {
 		}
 	}
 	return rates
+}
+
+// warmPingPong runs reps+1 m-byte round trips between ranks a and b,
+// the first unmeasured to warm the congestion window, and returns rank
+// a's one-way times (half of each round trip); nil on rank b.
+func warmPingPong(r *mpi.Rank, a, b int, tag int32, m, reps int) []float64 {
+	var out []float64
+	for rep := 0; rep <= reps; rep++ {
+		if r.ID() == a {
+			t0 := r.Now()
+			r.Send(b, tag, m)
+			r.Recv(b, tag)
+			if rep > 0 {
+				out = append(out, (r.Now()-t0).Seconds()/2)
+			}
+		} else {
+			r.Recv(a, tag)
+			r.Send(a, tag, m)
+		}
+	}
+	return out
 }
 
 // safeHeadroom returns leaf l's probed per-node rates with every

@@ -99,12 +99,6 @@ func (pl *Planner) PredictKind(kind coll.Kind, m int) ([]Prediction, error) {
 	return pl.predict(w)
 }
 
-// BestKind returns the predicted-fastest strategy for the kind at
-// per-rank contribution m.
-func (pl *Planner) BestKind(kind coll.Kind, m int) (Prediction, error) {
-	return first(pl.PredictKind(kind, m))
-}
-
 // SelectCoordinatorsKind is SelectCoordinators with candidates priced
 // through the kind's hierarchical model: a reduction's coordinator
 // choice weighs the relay incast, not the All-to-All exchange volume.

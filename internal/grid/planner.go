@@ -203,8 +203,8 @@ func sortedDistinct(sizes []int) []int {
 // non-positive sizes, too few distinct points (a WAN curve needs ≥ 2
 // to interpolate — equal-size points would make Transfer's segments
 // zero-width — and the signature fit needs ≥ 4 samples for its four
-// parameters). Called by NewPlanner after defaults are applied, so a
-// zero Options always passes.
+// parameters), FitN < 2 and negative counts. Called by NewPlanner,
+// NewService and FitLeaf after defaults, so a zero Options passes.
 func (o Options) validate() error {
 	for _, c := range []struct {
 		name     string
@@ -222,6 +222,12 @@ func (o Options) validate() error {
 			return fmt.Errorf("grid: %s has %d distinct size(s), need at least %d",
 				c.name, len(c.sizes), c.distinct)
 		}
+	}
+	if o.FitN < 2 {
+		return fmt.Errorf("grid: FitN %d is below 2, the smallest All-to-All", o.FitN)
+	}
+	if o.Reps < 0 {
+		return fmt.Errorf("grid: Reps %d is negative", o.Reps)
 	}
 	if o.StableSpread <= 0 || math.IsNaN(o.StableSpread) || math.IsInf(o.StableSpread, 0) {
 		return fmt.Errorf("grid: StableSpread %v is not a positive finite threshold", o.StableSpread)
@@ -417,7 +423,8 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 	for _, lf := range topo.Leaves() {
 		p := lf.Profile
 		rec, err := fetch(pl.sv, rootSpan, recLeaf, profileKey(p), func() (storedLeaf, error) {
-			return fitLeaf(p, opt, rootSpan)
+			fit, err := fitLeaf(p, coll.PostAll, opt, rootSpan.Span)
+			return storedLeaf{Hockney: fit.Hockney, Signature: fit.Signature}, err
 		})
 		if err != nil {
 			return nil, err
@@ -477,35 +484,59 @@ func newPlannerWithStore(topo cluster.TopoNode, opt Options, st *CurveStore) (*P
 	return pl, nil
 }
 
-// fitLeaf characterizes one member network: a ping-pong calibrates the
-// Hockney parameters and the paper's All-to-All sweep at n′ = FitN fits
-// the contention signature.
-func fitLeaf(p cluster.Profile, opt Options, parent *obs.Span) (storedLeaf, error) {
-	sp := parent.Span("planner.leaf_fit", obs.Str("profile", p.Name), obs.Int("fit_n", opt.FitN))
+// LeafFit is one network's Section 7 characterization: Hockney
+// parameters, the All-to-All sweep at n′ and the signature fitted to it.
+type LeafFit struct {
+	Hockney   model.Hockney
+	Samples   []signature.Sample
+	Signature model.Signature
+	Report    signature.Report
+}
+
+// FitLeaf runs the paper's Section 7 procedure on one network: a
+// ping-pong calibrates Hockney, then an alg All-to-All sweep over
+// FitSizes at n′ = FitN (point i: the mean of Reps runs after one
+// warmup, seeded Seed + 101·i) fits the signature. It reads FitN,
+// FitSizes, Reps, Seed, Workers and Trace, defaulted and validated as
+// NewPlanner does. If only the signature fit fails, Hockney and Samples
+// are still set.
+func FitLeaf(p cluster.Profile, alg coll.Algorithm, opt Options) (LeafFit, error) {
+	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
+		return LeafFit{}, err
+	}
+	return fitLeaf(p, alg, opt, opt.Trace.Span)
+}
+
+// fitLeaf is FitLeaf on validated options, under a "planner.leaf_fit"
+// span opened by span. The per-size sweep simulations are independent
+// (each builds its own cluster and Simulator from a size-indexed seed),
+// so they fan out across the worker pool; events are emitted by this
+// goroutine afterwards, in size order, so traces stay deterministic.
+func fitLeaf(p cluster.Profile, alg coll.Algorithm, opt Options, span func(string, ...obs.Attr) *obs.Span) (LeafFit, error) {
+	sp := span("planner.leaf_fit", obs.Str("profile", p.Name), obs.Int("fit_n", opt.FitN))
 	defer sp.End()
-	h := calib.PingPong(p, mpi.Config{}, opt.Seed, calib.PingPongConfig{Reps: 3})
-	// The per-size sweep simulations are independent (each builds its
-	// own cluster and Simulator from a size-indexed seed), so they fan
-	// out across the worker pool; events are emitted by this goroutine
-	// afterwards, in size order, so traces stay deterministic.
-	times := make([]float64, len(opt.FitSizes))
+	lf := LeafFit{
+		Hockney: calib.PingPong(p, mpi.Config{}, opt.Seed, calib.PingPongConfig{Reps: 3}),
+		Samples: make([]signature.Sample, len(opt.FitSizes)),
+	}
 	parallelDo(opt.Workers, len(opt.FitSizes), func(i int) {
 		m := opt.FitSizes[i]
 		cl := cluster.Build(p, opt.FitN, opt.Seed+int64(i)*101)
-		times[i] = measureEnv(opt.Trace, CtrProbes, cl, 1, opt.Reps, func(r *mpi.Rank) {
-			coll.Alltoall(r, m, coll.PostAll)
+		t := measureEnv(opt.Trace, CtrProbes, cl, 1, opt.Reps, func(r *mpi.Rank) {
+			coll.Alltoall(r, m, alg)
 		})
+		lf.Samples[i] = signature.Sample{M: m, T: t}
 	})
-	samples := make([]signature.Sample, 0, len(opt.FitSizes))
-	for i, m := range opt.FitSizes {
-		sp.Event("fit.sample", obs.Int("size", m), obs.F64("t_s", times[i]))
-		samples = append(samples, signature.Sample{M: m, T: times[i]})
+	for _, s := range lf.Samples {
+		sp.Event("fit.sample", obs.Int("size", s.M), obs.F64("t_s", s.T))
 	}
-	sig, _, err := signature.Fit(h, opt.FitN, samples, signature.Options{})
+	var err error
+	lf.Signature, lf.Report, err = signature.Fit(lf.Hockney, opt.FitN, lf.Samples, signature.Options{})
 	if err != nil {
-		return storedLeaf{}, fmt.Errorf("grid: fitting %s: %w", p.Name, err)
+		return lf, fmt.Errorf("grid: fitting %s: %w", p.Name, err)
 	}
-	return storedLeaf{Hockney: h, Signature: sig}, nil
+	return lf, nil
 }
 
 // buildModelTree mirrors the topology into model nodes, measuring each
@@ -564,38 +595,21 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 	}
 	g.Env.Net.AttachCollector(opt.Trace)
 	applySimConfig(g, opt.simCfg())
-	// Sort and deduplicate defensively (validate already rejects sweeps
-	// with < 2 distinct sizes): duplicate sizes would measure curve
-	// points with equal Bytes, whose zero-width segments Transfer can
-	// only skip, not interpolate.
-	sizes := sortedDistinct(opt.WANSizes)
-	times := make(map[int][]float64, len(sizes))
+	times := make(map[int][]float64, len(opt.WANSizes))
 	w := mpi.NewWorld(g.Env, mpi.Config{})
 	w.Run(func(r *mpi.Rank) {
 		if r.ID() != a && r.ID() != b {
 			return
 		}
-		for _, m := range sizes {
-			// One unmeasured repetition warms the congestion window,
-			// matching the warmed-up conditions of measured exchanges.
-			for rep := 0; rep <= opt.Reps; rep++ {
-				if r.ID() == a {
-					t0 := r.Now()
-					r.Send(b, tagWANProbe, m)
-					r.Recv(b, tagWANProbe)
-					if rep > 0 {
-						times[m] = append(times[m], (r.Now()-t0).Seconds()/2)
-					}
-				} else {
-					r.Recv(a, tagWANProbe)
-					r.Send(a, tagWANProbe, m)
-				}
+		for _, m := range opt.WANSizes {
+			if ts := warmPingPong(r, a, b, tagWANProbe, m, opt.Reps); r.ID() == a {
+				times[m] = ts
 			}
 		}
 	})
 	addRunCounters(opt.Trace, CtrProbes, g.Env)
-	curve := make([]model.WANPoint, 0, len(sizes))
-	for _, m := range sizes {
+	curve := make([]model.WANPoint, 0, len(opt.WANSizes))
+	for _, m := range opt.WANSizes {
 		ts := times[m]
 		if len(ts) == 0 {
 			return storedTier{}, fmt.Errorf("grid: WAN probe produced no samples for %d bytes", m)

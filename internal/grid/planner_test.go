@@ -80,6 +80,32 @@ func TestPlannerCharacterization(t *testing.T) {
 	if leaves[0].LAN != leaves[1].LAN {
 		t.Fatal("uniform grid re-characterized an identical member profile")
 	}
+	// The planner's leaf characterization is FitLeaf on PostAll.
+	lf, err := FitLeaf(wanTunedGE(), coll.PostAll, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lf.Hockney != pl.Hockney[0] || lf.Signature != leaves[0].LAN {
+		t.Fatalf("FitLeaf gave %s / %s, planner holds %s / %s",
+			lf.Hockney, lf.Signature, pl.Hockney[0], leaves[0].LAN)
+	}
+}
+
+// TestFitLeafWorkersInvariant: FitLeaf fans its sweep out over the
+// worker pool, and the fit must not depend on how.
+func TestFitLeafWorkersInvariant(t *testing.T) {
+	fit := func(workers int) LeafFit {
+		opt := cheapOptions()
+		opt.Workers = workers
+		lf, err := FitLeaf(wanTunedGE(), coll.PostAll, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lf
+	}
+	if seq, par := fit(1), fit(4); !reflect.DeepEqual(seq, par) {
+		t.Fatalf("4-worker fit differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	}
 }
 
 // TestPlanner3LevelCharacterization: on a 3-level tree every tier gets
