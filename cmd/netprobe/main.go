@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
@@ -38,8 +37,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	single := calib.SaturationProbe(p, mpi.Config{}, *nodes, 1, *size, *seed)
-	heavy := calib.SaturationProbe(p, mpi.Config{}, *nodes, *conns, *size, *seed)
+	single := calib.SaturationProbe(p, *nodes, 1, *size, *seed)
+	heavy := calib.SaturationProbe(p, *nodes, *conns, *size, *seed)
 
 	fmt.Printf("profile=%s nodes=%d size=%d\n\n", p.Name, *nodes, *size)
 	fmt.Printf("single connection: %.4fs (%.1f MB/s)\n\n", single.Times[0], single.AvgBandwidth()/1e6)

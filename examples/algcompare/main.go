@@ -33,7 +33,7 @@ func main() {
 			best, bestT := "", 0.0
 			for _, alg := range coll.Algorithms {
 				cl := cluster.Build(p, n, 7)
-				w := mpi.NewWorld(cl, mpi.Config{})
+				w := mpi.NewWorld(cl)
 				meas := coll.Measure(w, 1, 2, func(r *mpi.Rank) {
 					coll.Alltoall(r, m, alg)
 				})

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/textplot"
 )
 
@@ -21,7 +20,7 @@ func main() {
 	var xs, avgBW []float64
 	var sxs, stimes []float64
 	for _, conns := range []int{1, 2, 4, 8, 16, 24, 32, 40} {
-		pr := calib.SaturationProbe(p, mpi.Config{}, nodes, conns, size, int64(conns))
+		pr := calib.SaturationProbe(p, nodes, conns, size, int64(conns))
 		xs = append(xs, float64(conns))
 		avgBW = append(avgBW, pr.AvgBandwidth()/1e6)
 		for _, t := range pr.Times {

@@ -42,11 +42,11 @@ func (c PingPongConfig) withDefaults() PingPongConfig {
 
 // PingPong measures Hockney α and β on a two-node instance of the
 // profile: β is the OLS slope over the large-message one-way times, α
-// the mean small-message residual after removing the β·m term.
-func PingPong(p cluster.Profile, mcfg mpi.Config, seed int64, cfg PingPongConfig) model.Hockney {
+// the mean small-message residual after removing the β·m term. The
+// mpi.Config argument is ignored (see mpi.Config).
+func PingPong(p cluster.Profile, _ mpi.Config, seed int64, cfg PingPongConfig) model.Hockney {
 	cfg = cfg.withDefaults()
-	cl := cluster.Build(p, 2, seed)
-	w := mpi.NewWorld(cl, mcfg)
+	w := mpi.NewWorld(cluster.Build(p, 2, seed))
 
 	allSizes := append(append([]int{}, smallSizes...), cfg.LargeSizes...)
 	oneWay := make(map[int][]float64, len(allSizes))
@@ -129,9 +129,8 @@ func (r ProbeResult) AvgBandwidth() float64 {
 // host pairs (reusing hosts, as happens when flooding a cluster) and
 // transfers size bytes on each, all starting together. The per-
 // connection times are measured at the receivers.
-func SaturationProbe(p cluster.Profile, mcfg mpi.Config, nodes, conns, size int, seed int64) ProbeResult {
-	cl := cluster.Build(p, nodes, seed)
-	w := mpi.NewWorld(cl, mcfg)
+func SaturationProbe(p cluster.Profile, nodes, conns, size int, seed int64) ProbeResult {
+	w := mpi.NewWorld(cluster.Build(p, nodes, seed))
 
 	rng := rand.New(rand.NewSource(seed ^ 0x5eedca11))
 	type pair struct{ src, dst int }

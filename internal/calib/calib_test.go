@@ -44,7 +44,7 @@ func TestPingPongDeterministic(t *testing.T) {
 }
 
 func TestSaturationProbeSingleConnection(t *testing.T) {
-	r := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 8, 1, 2<<20, 3)
+	r := SaturationProbe(cluster.GigabitEthernet(), 8, 1, 2<<20, 3)
 	if len(r.Times) != 1 || r.Times[0] <= 0 {
 		t.Fatalf("bad probe result: %+v", r)
 	}
@@ -57,8 +57,8 @@ func TestSaturationProbeSingleConnection(t *testing.T) {
 func TestSaturationProbeBandwidthDropsWithLoad(t *testing.T) {
 	// The Fig. 2 shape: average per-connection bandwidth collapses as
 	// connection count grows.
-	light := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 16, 2, 2<<20, 4)
-	heavy := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 16, 40, 2<<20, 4)
+	light := SaturationProbe(cluster.GigabitEthernet(), 16, 2, 2<<20, 4)
+	heavy := SaturationProbe(cluster.GigabitEthernet(), 16, 40, 2<<20, 4)
 	if heavy.AvgBandwidth() >= light.AvgBandwidth() {
 		t.Fatalf("no saturation: light %.1f MB/s, heavy %.1f MB/s",
 			light.AvgBandwidth()/1e6, heavy.AvgBandwidth()/1e6)
@@ -74,15 +74,15 @@ func TestSaturationProbeStragglers(t *testing.T) {
 	// noticeably longer than the average (TCP loss recovery). Our
 	// simulated tail is milder than the paper's up-to-6x outliers —
 	// documented in EXPERIMENTS.md — but must be clearly present.
-	heavy := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 16, 40, 8<<20, 5)
+	heavy := SaturationProbe(cluster.GigabitEthernet(), 16, 40, 8<<20, 5)
 	if heavy.MaxTime() < 1.35*heavy.MeanTime() {
 		t.Fatalf("no straggler tail: max %.3fs vs mean %.3fs", heavy.MaxTime(), heavy.MeanTime())
 	}
 }
 
 func TestExtractBetasOrdering(t *testing.T) {
-	single := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 16, 1, 2<<20, 6)
-	heavy := SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, 16, 40, 2<<20, 6)
+	single := SaturationProbe(cluster.GigabitEthernet(), 16, 1, 2<<20, 6)
+	heavy := SaturationProbe(cluster.GigabitEthernet(), 16, 40, 2<<20, 6)
 	bf, bc := ExtractBetas(single, heavy)
 	if bf <= 0 || bc <= bf {
 		t.Fatalf("β ordering wrong: βF=%v βC=%v", bf, bc)

@@ -66,6 +66,23 @@ type Profile struct {
 	// Transport tuning.
 	TCP transport.TCPConfig
 	GM  transport.GMConfig
+
+	// EagerThreshold is the largest MPI payload sent eagerly; larger
+	// payloads use the rendezvous protocol. Zero means
+	// DefaultEagerThreshold.
+	EagerThreshold int
+}
+
+// DefaultEagerThreshold is the eager → rendezvous switch point of
+// LAM-era TCP RPIs, 64 KiB.
+const DefaultEagerThreshold = 64 << 10
+
+// Eager returns the profile's eager threshold, defaulted.
+func (p Profile) Eager() int {
+	if p.EagerThreshold == 0 {
+		return DefaultEagerThreshold
+	}
+	return p.EagerThreshold
 }
 
 // NodeRate returns host i's access-link rate: the per-node override
@@ -157,12 +174,13 @@ func ByName(name string) (Profile, error) {
 	return p, nil
 }
 
-// Cluster is a built environment: simulator, network, hosts and fabric.
+// Cluster is a built environment: simulator, network, hosts, fabric and eager threshold.
 type Cluster struct {
-	Sim    *sim.Simulator
-	Net    *netsim.Network
-	Hosts  []*netsim.Device
-	Fabric *transport.Fabric
+	Sim            *sim.Simulator
+	Net            *netsim.Network
+	Hosts          []*netsim.Device
+	Fabric         *transport.Fabric
+	EagerThreshold int
 }
 
 // Build instantiates a profile with the given node count and seed: the

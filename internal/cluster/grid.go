@@ -53,8 +53,8 @@ func DefaultWAN(latency sim.Time) WANConfig {
 }
 
 // GridProfile names a buildable multi-cluster environment. All member
-// profiles must share one transport kind; the first member's transport
-// tuning is used fabric-wide.
+// profiles must share one transport kind and one eager threshold; the
+// first member's transport tuning is used fabric-wide.
 type GridProfile struct {
 	Name    string
 	Members []GridMember
@@ -158,6 +158,7 @@ type treeBuilder struct {
 // group tier joins its children's gateways either in a full mesh or in
 // a star through a tier backbone router, and exposes one gateway (the
 // first child's for a mesh, the backbone for a star) to the tier above.
+// Leaves must share one eager threshold (Profile.Eager), recorded on Env.
 func BuildGridTree(root TopoNode, seed int64) (*Grid, error) {
 	if err := root.Validate(); err != nil {
 		return nil, err
@@ -170,10 +171,15 @@ func BuildGridTree(root TopoNode, seed int64) (*Grid, error) {
 		// dropped segment.
 		return nil, fmt.Errorf("cluster: grid %q needs a retransmitting transport, got %v", root.Name, kind)
 	}
+	eager := leaves[0].Profile.Eager()
 	for _, lf := range leaves {
 		if lf.Profile.Kind != kind {
 			return nil, fmt.Errorf("cluster: grid %q mixes transport kinds %v and %v",
 				root.Name, kind, lf.Profile.Kind)
+		}
+		if lf.Profile.Eager() != eager {
+			return nil, fmt.Errorf("cluster: grid %q mixes eager thresholds %d and %d",
+				root.Name, eager, lf.Profile.Eager())
 		}
 	}
 
@@ -213,7 +219,7 @@ func BuildGridTree(root TopoNode, seed int64) (*Grid, error) {
 	first := leaves[0].Profile
 	fab := transport.NewFabric(b.nw, b.hosts, transport.FabricConfig{Kind: kind, TCP: first.TCP, GM: first.GM})
 	b.g.Routers = b.gwLf
-	b.g.Env = &Cluster{Sim: s, Net: b.nw, Hosts: b.hosts, Fabric: fab}
+	b.g.Env = &Cluster{Sim: s, Net: b.nw, Hosts: b.hosts, Fabric: fab, EagerThreshold: eager}
 	return b.g, nil
 }
 

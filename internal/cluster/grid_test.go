@@ -142,6 +142,45 @@ func TestGridRejectsMixedTransportKinds(t *testing.T) {
 	}
 }
 
+// TestGridRejectsMixedEagerThresholds: one grid runs one MPI protocol
+// switch point; leaves resolving to different thresholds are rejected,
+// while an explicit default and an unset field are the same threshold.
+func TestGridRejectsMixedEagerThresholds(t *testing.T) {
+	small := GigabitEthernet()
+	small.EagerThreshold = 4 << 10
+	wan := DefaultWAN(10 * sim.Millisecond)
+	bad := Group("bad", wan, Leaf(GigabitEthernet(), 2), Leaf(small, 2))
+	if _, err := BuildGridTree(bad, 1); err == nil || !strings.Contains(err.Error(), "eager thresholds 65536 and 4096") {
+		t.Fatalf("want mixed-threshold error, got %v", err)
+	}
+	explicit := GigabitEthernet()
+	explicit.EagerThreshold = DefaultEagerThreshold
+	g, err := BuildGridTree(Group("ok", wan, Leaf(GigabitEthernet(), 2), Leaf(explicit, 2)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Env.EagerThreshold != DefaultEagerThreshold {
+		t.Fatalf("built threshold %d, want %d", g.Env.EagerThreshold, DefaultEagerThreshold)
+	}
+	if got := Build(small, 2, 1).EagerThreshold; got != 4<<10 {
+		t.Fatalf("built threshold %d, want %d", got, 4<<10)
+	}
+}
+
+// TestValidateRejectsNegativeEagerThreshold: a negative switch point
+// would send every message, even an empty one, by rendezvous.
+func TestValidateRejectsNegativeEagerThreshold(t *testing.T) {
+	p := GigabitEthernet()
+	p.EagerThreshold = -1
+	leaf := Leaf(p, 2)
+	if err := leaf.Validate(); err == nil || !strings.Contains(err.Error(), "negative EagerThreshold -1") {
+		t.Fatalf("want negative-threshold error, got %v", err)
+	}
+	if _, err := BuildGridTree(Group("g", DefaultWAN(sim.Millisecond), Leaf(GigabitEthernet(), 2), leaf), 1); err == nil {
+		t.Fatal("BuildGridTree accepted a negative eager threshold")
+	}
+}
+
 func TestGridRejectsNonRetransmittingTransport(t *testing.T) {
 	// GM relies on a lossless fabric; over tail-drop WAN ports the
 	// first lost segment would hang the simulation forever.

@@ -55,6 +55,9 @@ func (t TopoNode) Validate() error {
 		if t.Nodes < 1 {
 			return fmt.Errorf("cluster: leaf %q has %d nodes", t.Name, t.Nodes)
 		}
+		if t.Profile.EagerThreshold < 0 {
+			return fmt.Errorf("cluster: leaf %q has negative EagerThreshold %d", t.Name, t.Profile.EagerThreshold)
+		}
 		return nil
 	}
 	if t.Nodes != 0 {

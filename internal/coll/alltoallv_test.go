@@ -155,7 +155,7 @@ func TestAlltoallVOnGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := mustCompile(t, flatSpec(g.ClusterOf), Irregular(hotspot), alg)
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.010 || meas.Mean() > 5 {
 			t.Fatalf("%v hotspot: implausible completion %.4fs", alg, meas.Mean())
@@ -166,7 +166,7 @@ func TestAlltoallVOnGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan2 := mustCompile(t, flatSpec(g2.ClusterOf), Irregular(localOnly), alg)
-		w2 := mpi.NewWorld(g2.Env, mpi.Config{})
+		w2 := mpi.NewWorld(g2.Env)
 		meas2 := Measure(w2, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan2, nil) })
 		// The makespan includes the pre-measurement barrier's exit skew
 		// (its last dissemination hop crosses the 10 ms WAN), so "no WAN
@@ -189,7 +189,7 @@ func TestAlltoallVOnGrid(t *testing.T) {
 		if alg == PostAll {
 			want = PostAll
 		}
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		effs := make([]Algorithm, n)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { effs[r.ID()] = alltoall(r, Irregular(hotspot), alg) })
 		if meas.Mean() <= 0.010 || meas.Mean() > 5 {

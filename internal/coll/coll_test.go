@@ -11,7 +11,7 @@ import (
 
 func world(t *testing.T, p cluster.Profile, nodes int, seed int64) *mpi.World {
 	t.Helper()
-	return mpi.NewWorld(cluster.Build(p, nodes, seed), mpi.Config{})
+	return mpi.NewWorld(cluster.Build(p, nodes, seed))
 }
 
 // linearRoot is the O(n)-round baseline the binomial trees are measured
@@ -54,7 +54,7 @@ func TestAlltoallAllAlgorithmsComplete(t *testing.T) {
 func TestAlltoallMovesExpectedBytes(t *testing.T) {
 	const n, m = 6, 5000
 	cl := cluster.Build(cluster.GigabitEthernet(), n, 3)
-	w := mpi.NewWorld(cl, mpi.Config{})
+	w := mpi.NewWorld(cl)
 	Measure(w, 0, 1, func(r *mpi.Rank) { Alltoall(r, m, Direct) })
 	st := cl.Fabric.TotalStats()
 	// n(n-1) payload messages plus barrier/envelope traffic.
@@ -93,7 +93,7 @@ func TestAlltoallScalesWithRanks(t *testing.T) {
 
 func TestAlltoallOnMyrinetLossless(t *testing.T) {
 	cl := cluster.Build(cluster.Myrinet(), 8, 7)
-	w := mpi.NewWorld(cl, mpi.Config{})
+	w := mpi.NewWorld(cl)
 	meas := Measure(w, 1, 2, func(r *mpi.Rank) { Alltoall(r, 100_000, Direct) })
 	if cl.Net.Drops() != 0 {
 		t.Fatalf("myrinet dropped %d packets", cl.Net.Drops())

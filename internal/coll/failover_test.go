@@ -53,7 +53,7 @@ func TestFailoverCoordinatorLoss(t *testing.T) {
 			declared[rank] = epoch
 		},
 	})
-	w := mpi.NewWorld(g.Env, mpi.Config{})
+	w := mpi.NewWorld(g.Env)
 	w.Run(func(r *mpi.Rank) { fr.Run(r) })
 
 	res := fr.Result()
@@ -111,7 +111,7 @@ func TestFailoverNonCoordinatorLoss(t *testing.T) {
 		IsDead:  func(rank int) bool { return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now()) },
 		Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
 	})
-	w := mpi.NewWorld(g.Env, mpi.Config{})
+	w := mpi.NewWorld(g.Env)
 	w.Run(func(r *mpi.Rank) { fr.Run(r) })
 
 	if err := fr.Verify(); err != nil {
@@ -163,7 +163,7 @@ func TestFailoverExactlyOnceProperty(t *testing.T) {
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(g.Env.Hosts[rank].Name(), g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
 		})
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		w.Run(func(r *mpi.Rank) { fr.Run(r) })
 		if err := fr.Verify(); err != nil {
 			// A fault landing after completion leaves nothing declared;

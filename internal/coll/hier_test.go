@@ -542,7 +542,7 @@ func TestHierAlltoallOnGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := alltoallPlan(t, flatSpec(g.ClusterOf), 20_000, alg)
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())
@@ -570,7 +570,7 @@ func TestHierTreeAlltoallOn3LevelGrid(t *testing.T) {
 		if plan.Tree.Height() != 2 {
 			t.Fatalf("%v: plan height %d, want 2", alg, plan.Tree.Height())
 		}
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.020 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one continental latency", alg, meas.Mean())
@@ -598,7 +598,7 @@ func TestAlltoallReportsEffectiveAlgorithm(t *testing.T) {
 	}
 	for _, n := range []int{6, 8} {
 		cl := cluster.Build(cluster.Myrinet(), n, 3)
-		w := mpi.NewWorld(cl, mpi.Config{})
+		w := mpi.NewWorld(cl)
 		got := make([]Algorithm, n)
 		w.Run(func(r *mpi.Rank) {
 			got[r.ID()] = Alltoall(r, 4096, Pairwise)
@@ -914,7 +914,7 @@ func TestHierAlltoallOnGridWithCoords(t *testing.T) {
 		}
 		plan := alltoallPlan(t, spec, 20_000, alg)
 		verifyHierPlan(t, plan)
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		if meas.Mean() <= 0.010 {
 			t.Fatalf("%v: completion %.4fs, cannot beat one WAN latency", alg, meas.Mean())

@@ -193,7 +193,7 @@ func TestKindPlannedExecutionCompletes(t *testing.T) {
 			}
 			plan := mustCompile(t, GridSpec(g), Uniform(kind, m), alg)
 			n := plan.Tree.NumRanks()
-			w := mpi.NewWorld(g.Env, mpi.Config{})
+			w := mpi.NewWorld(g.Env)
 			meas := Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 			if meas.Times[0] <= 0 {
 				t.Fatalf("%s/%v: no time elapsed", kind, alg)
@@ -229,7 +229,7 @@ func TestKindWireVolumeOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := mustCompile(t, GridSpec(g), Uniform(kind, m), HierGather)
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		Measure(w, 0, 1, func(r *mpi.Rank) { RunPlan(r, plan, nil) })
 		return g.Env.Fabric.TotalStats().BytesSent
 	}
@@ -276,7 +276,7 @@ func TestKindFailoverExactlyOnce(t *testing.T) {
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
 		})
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		w.Run(func(r *mpi.Rank) { fr.Run(r) })
 		if err := fr.Verify(); err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -348,7 +348,7 @@ func TestKindFailoverChaosProperty(t *testing.T) {
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
 		})
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		w.Run(func(r *mpi.Rank) { fr.Run(r) })
 		if err := fr.Verify(); err != nil {
 			t.Logf("seed=%d kind=%s losses=%d: %v", seed, kind, losses, err)

@@ -44,7 +44,7 @@ func TestCompilePins(t *testing.T) {
 	// timers, which the failover runtime arms and the plain one does not).
 	finishOf := func(g *cluster.Grid, op func(r *mpi.Rank)) sim.Time {
 		var last sim.Time
-		mpi.NewWorld(g.Env, mpi.Config{}).Run(func(r *mpi.Rank) {
+		mpi.NewWorld(g.Env).Run(func(r *mpi.Rank) {
 			op(r)
 			last = max(last, r.Now())
 		})

@@ -22,7 +22,7 @@ func TestAlltoallPayloadConservationProperty(t *testing.T) {
 		m := int(m16%8192) + 128
 		alg := Algorithms[int(algPick)%len(Algorithms)]
 		cl := cluster.Build(cluster.GigabitEthernet(), n, seed)
-		w := mpi.NewWorld(cl, mpi.Config{})
+		w := mpi.NewWorld(cl)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) { Alltoall(r, m, alg) })
 		if meas.Times[0] <= 0 {
 			return false
@@ -51,7 +51,7 @@ func TestMeasureMonotoneUnderLoadProperty(t *testing.T) {
 		m := 20_000
 		run := func(n int) float64 {
 			cl := cluster.Build(cluster.Myrinet(), n, seed)
-			w := mpi.NewWorld(cl, mpi.Config{})
+			w := mpi.NewWorld(cl)
 			return Measure(w, 0, 1, func(r *mpi.Rank) { Alltoall(r, m, Direct) }).Mean()
 		}
 		small, large := run(4), run(8)
@@ -115,7 +115,7 @@ func TestFailoverChaosProperty(t *testing.T) {
 			IsDead:  func(rank int) bool { return fs.NodeLostBy(hosts[rank], g.Env.Sim.Now()) },
 			Quench:  func(rank int) { g.Env.Fabric.Quench(rank) },
 		})
-		w := mpi.NewWorld(g.Env, mpi.Config{})
+		w := mpi.NewWorld(g.Env)
 		w.Run(func(r *mpi.Rank) { fr.Run(r) })
 		if err := fr.Verify(); err != nil {
 			t.Logf("seed=%d clusters=%d nodes=%d coord=%d losses=%d alg=%v: %v",

@@ -122,7 +122,7 @@ func TestReductionKernelsUnderFaultSchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w := mpi.NewWorld(cl, mpi.Config{})
+		w := mpi.NewWorld(cl)
 		meas := Measure(w, 0, 1, func(r *mpi.Rank) {
 			reduce(r, 0, m)
 			Allreduce(r, m)
@@ -153,7 +153,7 @@ func TestReduceUnderFaultWithTimedWaits(t *testing.T) {
 	if err := cl.Net.ApplyFaults(fs); err != nil {
 		t.Fatal(err)
 	}
-	w := mpi.NewWorld(cl, mpi.Config{})
+	w := mpi.NewWorld(cl)
 	timeouts := 0
 	w.Run(func(r *mpi.Rank) {
 		vrank := r.ID()
@@ -182,7 +182,7 @@ func TestReduceUnderFaultWithTimedWaits(t *testing.T) {
 
 func TestReductionCollectivesOnLosslessNetwork(t *testing.T) {
 	cl := cluster.Build(cluster.Myrinet(), 8, 26)
-	w := mpi.NewWorld(cl, mpi.Config{})
+	w := mpi.NewWorld(cl)
 	meas := Measure(w, 0, 1, func(r *mpi.Rank) {
 		reduce(r, 0, 50_000)
 		Allreduce(r, 50_000)

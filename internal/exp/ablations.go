@@ -74,7 +74,7 @@ func init() {
 				}
 				// Count timeouts on a representative point.
 				cl := cluster.Build(p, n, cfg.Seed)
-				w := mpi.NewWorld(cl, mpi.Config{})
+				w := mpi.NewWorld(cl)
 				coll.Measure(w, 0, 1, func(r *mpi.Rank) {
 					coll.Alltoall(r, scaleSize(512<<10, cfg.Scale), cfg.Algorithm)
 				})
@@ -100,19 +100,14 @@ func init() {
 			cfg = cfg.withDefaults()
 			res := Result{ID: "AB3", Title: "Ablation: eager threshold"}
 			p := cluster.GigabitEthernet()
-			n := 8
 			s := Series{
 				Name: "eager",
 				Cols: []string{"eager_threshold", "msg_bytes", "measured_s"},
 			}
 			for _, thresh := range []int{4 << 10, 16 << 10, 64 << 10} {
+				p.EagerThreshold = thresh
 				for m := 1 << 10; m <= 32<<10; m *= 2 {
-					cl := cluster.Build(p, n, cfg.Seed)
-					w := mpi.NewWorld(cl, mpi.Config{EagerThreshold: thresh})
-					meas := coll.Measure(w, 1, cfg.Reps, func(r *mpi.Rank) {
-						coll.Alltoall(r, m, cfg.Algorithm)
-					})
-					s.Rows = append(s.Rows, []float64{float64(thresh), float64(m), meas.Mean()})
+					s.Rows = append(s.Rows, []float64{float64(thresh), float64(m), alltoallPoint(p, 8, m, cfg, 0)})
 				}
 			}
 			res.Series = append(res.Series, s)

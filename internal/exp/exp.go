@@ -171,9 +171,9 @@ func scaleSizes(base []int, scale float64) []int {
 
 // measure runs op on a fresh n-node cluster of p seeded cfg.Seed +
 // seedShift and returns its mean time over cfg.Reps after one warmup.
-// Only AB3 (its own mpi.Config) and AB2's timeout count measure inline.
+// Only AB2's timeout count measures inline.
 func measure(p cluster.Profile, n int, cfg Config, seedShift int64, op func(r *mpi.Rank)) float64 {
-	w := mpi.NewWorld(cluster.Build(p, n, cfg.Seed+seedShift), mpi.Config{})
+	w := mpi.NewWorld(cluster.Build(p, n, cfg.Seed+seedShift))
 	return coll.Measure(w, 1, cfg.Reps, op).Mean()
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"repro/internal/calib"
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
@@ -30,7 +29,7 @@ func init() {
 				Cols: []string{"connections", "avg_bandwidth_MBps", "min_bandwidth_MBps"},
 			}
 			for _, c := range saturationConnCounts {
-				pr := calib.SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, nodes, c, size, cfg.Seed+int64(c))
+				pr := calib.SaturationProbe(cluster.GigabitEthernet(), nodes, c, size, cfg.Seed+int64(c))
 				var minBW float64
 				if mx := stats.Max(pr.Times); mx > 0 {
 					minBW = float64(size) / mx / 1e6
@@ -61,7 +60,7 @@ func init() {
 				Cols: []string{"connections", "mean_s", "p95_s", "max_s", "max_over_mean"},
 			}
 			for _, c := range saturationConnCounts {
-				pr := calib.SaturationProbe(cluster.GigabitEthernet(), mpi.Config{}, nodes, c, size, cfg.Seed+int64(c))
+				pr := calib.SaturationProbe(cluster.GigabitEthernet(), nodes, c, size, cfg.Seed+int64(c))
 				for _, t := range pr.Times {
 					indiv.Rows = append(indiv.Rows, []float64{float64(c), t})
 				}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/mpi"
 )
 
 // F4: the Section 6 "throughput under contention" approach. βF and βC
@@ -27,8 +26,8 @@ func init() {
 			h := lf.Hockney
 
 			probeSize := scaleSize(32<<20, cfg.Scale)
-			single := calib.SaturationProbe(p, mpi.Config{}, 16, 1, probeSize, cfg.Seed)
-			heavy := calib.SaturationProbe(p, mpi.Config{}, 16, 40, probeSize, cfg.Seed)
+			single := calib.SaturationProbe(p, 16, 1, probeSize, cfg.Seed)
+			heavy := calib.SaturationProbe(p, 16, 40, probeSize, cfg.Seed)
 			tb := calib.TwoBetaModel(h, single, heavy)
 			naive := model.Naive{H: h}
 

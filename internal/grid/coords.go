@@ -81,7 +81,7 @@ func probeHeadroom(p cluster.Profile, nodes int, opt Options) []float64 {
 	times := make([]float64, len(pairs))
 	cl := cluster.Build(p, nodes, opt.Seed+113)
 	cl.Net.AttachCollector(opt.Trace)
-	w := mpi.NewWorld(cl, mpi.Config{})
+	w := mpi.NewWorld(cl)
 	w.Run(func(r *mpi.Rank) {
 		for pi, pr := range pairs {
 			if r.ID() != pr.a && r.ID() != pr.b {

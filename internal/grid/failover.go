@@ -54,7 +54,7 @@ func runFailover(g *cluster.Grid, topoName string, plan *coll.HierPlan, sr SimRu
 			sp.Event(EvFailoverEpoch, obs.Int("epoch", epoch), obs.F64("t", now.Seconds()))
 		},
 	})
-	mpi.NewWorld(g.Env, mpi.Config{}).Run(func(r *mpi.Rank) { fr.Run(r) })
+	mpi.NewWorld(g.Env).Run(func(r *mpi.Rank) { fr.Run(r) })
 	res := fr.Result()
 	var tEnd sim.Time
 	for _, ft := range res.FinishAt {

@@ -25,7 +25,7 @@ func TestProfileKeyDistinguishesProfiles(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{reflect.TypeOf(cluster.Profile{}), 16},
+		{reflect.TypeOf(cluster.Profile{}), 17},
 		{reflect.TypeOf(transport.TCPConfig{}), 11},
 		{reflect.TypeOf(transport.GMConfig{}), 2},
 		{reflect.TypeOf(cluster.WANConfig{}), 5},
@@ -71,6 +71,7 @@ func TestProfileKeyDistinguishesProfiles(t *testing.T) {
 	add("tcp-rtomin", func(p *cluster.Profile) { p.TCP.RTOMin = 1 })
 	add("tcp-maxretries", func(p *cluster.Profile) { p.TCP.MaxRetries = 7 })
 	add("gm-mtu", func(p *cluster.Profile) { p.GM.MTU = 2048 })
+	add("eager", func(p *cluster.Profile) { p.EagerThreshold = 4 << 10 })
 	// Crafted-name regression: under an unquoted reflective rendering, a
 	// name that imitates the rate-slice syntax could collide with the
 	// "node-rates" variant, which really has that slice. Quoting must
@@ -93,6 +94,11 @@ func TestProfileKeyDistinguishesProfiles(t *testing.T) {
 	again := cluster.GigabitEthernet()
 	if profileKey(again) != keys["base"] {
 		t.Fatalf("identical profiles keyed differently:\n%s\n%s", profileKey(again), keys["base"])
+	}
+	// An explicit default threshold is the same network as an unset one.
+	again.EagerThreshold = cluster.DefaultEagerThreshold
+	if profileKey(again) != keys["base"] {
+		t.Fatalf("explicit default eager threshold keyed differently:\n%s", profileKey(again))
 	}
 }
 

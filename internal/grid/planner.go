@@ -596,7 +596,7 @@ func characterizeTier(full cluster.TopoNode, node cluster.TopoNode, a, b int, op
 	g.Env.Net.AttachCollector(opt.Trace)
 	applySimConfig(g, opt.simCfg())
 	times := make(map[int][]float64, len(opt.WANSizes))
-	w := mpi.NewWorld(g.Env, mpi.Config{})
+	w := mpi.NewWorld(g.Env)
 	w.Run(func(r *mpi.Rank) {
 		if r.ID() != a && r.ID() != b {
 			return
@@ -658,6 +658,11 @@ func profileKey(p cluster.Profile) string {
 		p.TCP.RTOMin, p.TCP.RTOMax, p.TCP.TxQueueLimit, p.TCP.DelAckTimeout, p.TCP.AckJitter,
 		p.TCP.MaxRetries)
 	fmt.Fprintf(&b, " gm={%d,%d}", p.GM.MTU, p.GM.HeaderSize)
+	// Only a non-default threshold is rendered, so keys (and stores)
+	// written before the field existed stay valid.
+	if e := p.Eager(); e != cluster.DefaultEagerThreshold {
+		fmt.Fprintf(&b, " eager=%d", e)
+	}
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -88,6 +89,31 @@ func TestPlannerCharacterization(t *testing.T) {
 	if lf.Hockney != pl.Hockney[0] || lf.Signature != leaves[0].LAN {
 		t.Fatalf("FitLeaf gave %s / %s, planner holds %s / %s",
 			lf.Hockney, lf.Signature, pl.Hockney[0], leaves[0].LAN)
+	}
+}
+
+// TestFitLeafReadsEagerThreshold: the profile's eager threshold reaches
+// the Section 7 fit with no option of its own. Myrinet as built fits
+// γ 2.3103 over sigfit's schedule; with every size sent eagerly the
+// contention ratio all but vanishes — most of the fitted γ is the
+// rendezvous round trip, not the network.
+func TestFitLeafReadsEagerThreshold(t *testing.T) {
+	opt := Options{FitN: 8, FitSizes: []int{16 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20},
+		Reps: 2, Seed: 1}
+	gamma := func(eager int) float64 {
+		p := cluster.Myrinet()
+		p.EagerThreshold = eager
+		lf, err := FitLeaf(p, coll.PostAll, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lf.Signature.Gamma
+	}
+	if got := gamma(0); math.Abs(got-2.3103) > 5e-5 {
+		t.Fatalf("as-built γ = %.4f, want 2.3103", got)
+	}
+	if got := gamma(4 << 20); got >= 1.05 {
+		t.Fatalf("all-eager γ = %.4f, want < 1.05", got)
 	}
 }
 

@@ -200,7 +200,7 @@ func phaseEvents(sp *obs.Span, spans []coll.PhaseSpan) {
 // funnel every planner probe and Run goes through.
 func measureEnv(c *obs.Collector, counter string, env *cluster.Cluster, warmup, reps int, op func(r *mpi.Rank)) float64 {
 	env.Net.AttachCollector(c)
-	w := mpi.NewWorld(env, mpi.Config{})
+	w := mpi.NewWorld(env)
 	t := coll.Measure(w, warmup, reps, op).Mean()
 	addRunCounters(c, counter, env)
 	return t

@@ -65,7 +65,7 @@ func TestRunFieldEquivalences(t *testing.T) {
 			t.Fatal(err)
 		}
 		var end sim.Time
-		mpi.NewWorld(g.Env, mpi.Config{}).Run(func(r *mpi.Rank) {
+		mpi.NewWorld(g.Env).Run(func(r *mpi.Rank) {
 			coll.RunPlan(r, plan, nil)
 			if r.Now() > end {
 				end = r.Now()

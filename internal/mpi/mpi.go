@@ -2,7 +2,9 @@
 // simulated cluster, standing in for the LAM-MPI library used by the
 // paper. It provides blocking and nonblocking point-to-point operations
 // with tag matching, the eager/rendezvous protocol switch of real MPI
-// implementations, and a dissemination barrier.
+// implementations, and a dissemination barrier. The switch point is the
+// built cluster's EagerThreshold (cluster.Profile.EagerThreshold), so a
+// protocol counterfactual is a profile value like any other.
 //
 // Rank code runs inside sim.Proc coroutines, so collective algorithms
 // read like ordinary MPI programs while the simulator remains
@@ -43,37 +45,24 @@ const (
 	startJitter = 50 * sim.Microsecond
 )
 
-// Config tunes the runtime. Zero values take defaults.
-type Config struct {
-	// EagerThreshold is the largest payload sent eagerly; larger
-	// payloads use the rendezvous protocol. LAM-era TCP RPIs switched
-	// at 64 KiB.
-	EagerThreshold int
-}
+// Config is empty; the eager threshold is cluster.Profile's. The type
+// and DefaultConfig remain only because the benchmark harness passes
+// mpi.DefaultConfig() to NewWorld and calib.PingPong.
+type Config struct{}
 
-// DefaultConfig mirrors a LAM-MPI-like TCP stack.
-func DefaultConfig() Config {
-	return Config{EagerThreshold: 64 << 10}
-}
-
-func (c Config) withDefaults() Config {
-	if c.EagerThreshold == 0 {
-		c.EagerThreshold = DefaultConfig().EagerThreshold
-	}
-	return c
-}
+// DefaultConfig returns the empty Config; see Config.
+func DefaultConfig() Config { return Config{} }
 
 // World binds a runtime to a built cluster, one rank per host.
 type World struct {
 	Cluster *cluster.Cluster
-	cfg     Config
 	ranks   []*Rank
 }
 
 // NewWorld creates one rank per cluster host and wires the transport
-// handlers.
-func NewWorld(cl *cluster.Cluster, cfg Config) *World {
-	w := &World{Cluster: cl, cfg: cfg.withDefaults()}
+// handlers. The Config argument is ignored; see Config.
+func NewWorld(cl *cluster.Cluster, _ ...Config) *World {
+	w := &World{Cluster: cl}
 	n := len(cl.Hosts)
 	w.ranks = make([]*Rank, n)
 	for i := 0; i < n; i++ {

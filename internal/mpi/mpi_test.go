@@ -7,14 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-func gigeWorld(t *testing.T, nodes int, seed int64, cfg Config) *World {
+// gigeWorld builds a Gigabit Ethernet world whose profile switches to
+// rendezvous above eager bytes (0: cluster.DefaultEagerThreshold).
+func gigeWorld(t *testing.T, nodes int, seed int64, eager int) *World {
 	t.Helper()
-	cl := cluster.Build(cluster.GigabitEthernet(), nodes, seed)
-	return NewWorld(cl, cfg)
+	p := cluster.GigabitEthernet()
+	p.EagerThreshold = eager
+	return NewWorld(cluster.Build(p, nodes, seed))
 }
 
 func TestBlockingSendRecv(t *testing.T) {
-	w := gigeWorld(t, 2, 1, Config{})
+	w := gigeWorld(t, 2, 1, 0)
 	var got int
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -30,7 +33,7 @@ func TestBlockingSendRecv(t *testing.T) {
 }
 
 func TestRendezvousLargeMessage(t *testing.T) {
-	w := gigeWorld(t, 2, 2, Config{EagerThreshold: 1024})
+	w := gigeWorld(t, 2, 2, 1024)
 	var got int
 	var when sim.Time
 	w.Run(func(r *Rank) {
@@ -54,7 +57,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 }
 
 func TestEagerBuffersBeforeRecvPosted(t *testing.T) {
-	w := gigeWorld(t, 2, 3, Config{EagerThreshold: 64 << 10})
+	w := gigeWorld(t, 2, 3, 64<<10)
 	var sendDone, recvDone sim.Time
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -76,8 +79,34 @@ func TestEagerBuffersBeforeRecvPosted(t *testing.T) {
 	}
 }
 
+// TestProfileThresholdPicksProtocol: the same 32 KiB send is eager under
+// the default 64 KiB switch and rendezvous (it waits for the late
+// receiver's clear-to-send) when the profile lowers the switch to 16 KiB.
+func TestProfileThresholdPicksProtocol(t *testing.T) {
+	sendDone := func(eager int) sim.Time {
+		var done sim.Time
+		gigeWorld(t, 2, 3, eager).Run(func(r *Rank) {
+			switch r.ID() {
+			case 0:
+				r.Send(1, 1, 32<<10)
+				done = r.Now()
+			case 1:
+				r.p.Sleep(5 * sim.Millisecond)
+				r.Recv(0, 1)
+			}
+		})
+		return done
+	}
+	if got := sendDone(0); got > sim.Millisecond {
+		t.Fatalf("default threshold: send completed at %v, want eager (~immediately)", got)
+	}
+	if got := sendDone(16 << 10); got < 5*sim.Millisecond {
+		t.Fatalf("16 KiB threshold: send completed at %v, want rendezvous (after the 5 ms recv)", got)
+	}
+}
+
 func TestTagMatchingOrder(t *testing.T) {
-	w := gigeWorld(t, 2, 4, Config{})
+	w := gigeWorld(t, 2, 4, 0)
 	var sizes []int
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -97,7 +126,7 @@ func TestTagMatchingOrder(t *testing.T) {
 }
 
 func TestAnyTag(t *testing.T) {
-	w := gigeWorld(t, 2, 5, Config{})
+	w := gigeWorld(t, 2, 5, 0)
 	var got int
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -113,7 +142,7 @@ func TestAnyTag(t *testing.T) {
 }
 
 func TestNonblockingWaitAll(t *testing.T) {
-	w := gigeWorld(t, 3, 6, Config{})
+	w := gigeWorld(t, 3, 6, 0)
 	var got [3]int
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -132,7 +161,7 @@ func TestNonblockingWaitAll(t *testing.T) {
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	w := gigeWorld(t, 4, 7, Config{})
+	w := gigeWorld(t, 4, 7, 0)
 	n := 4
 	var ok [4]bool
 	w.Run(func(r *Rank) {
@@ -149,7 +178,7 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
-	w := gigeWorld(t, 8, 8, Config{})
+	w := gigeWorld(t, 8, 8, 0)
 	var before, after [8]sim.Time
 	w.Run(func(r *Rank) {
 		// Stagger arrivals deliberately.
@@ -174,7 +203,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 }
 
 func TestRepeatedBarriers(t *testing.T) {
-	w := gigeWorld(t, 5, 9, Config{})
+	w := gigeWorld(t, 5, 9, 0)
 	counts := make([]int, 5)
 	w.Run(func(r *Rank) {
 		for i := 0; i < 10; i++ {
@@ -191,7 +220,7 @@ func TestRepeatedBarriers(t *testing.T) {
 
 func TestManyPairsSimultaneously(t *testing.T) {
 	const n = 10
-	w := gigeWorld(t, n, 10, Config{})
+	w := gigeWorld(t, n, 10, 0)
 	var recvTotal [n]int
 	w.Run(func(r *Rank) {
 		// Each rank exchanges with every other rank, all at once.
@@ -223,7 +252,7 @@ func TestManyPairsSimultaneously(t *testing.T) {
 }
 
 func TestSelfSendPanics(t *testing.T) {
-	w := gigeWorld(t, 2, 11, Config{})
+	w := gigeWorld(t, 2, 11, 0)
 	panicked := false
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
@@ -240,7 +269,7 @@ func TestSelfSendPanics(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() sim.Time {
-		w := gigeWorld(t, 6, 99, Config{})
+		w := gigeWorld(t, 6, 99, 0)
 		return w.Run(func(r *Rank) {
 			for i := 0; i < 3; i++ {
 				r.Barrier()
@@ -259,7 +288,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestZeroSizeSend(t *testing.T) {
 	// Size-0 payloads must work: the envelope still travels.
-	w := gigeWorld(t, 2, 12, Config{})
+	w := gigeWorld(t, 2, 12, 0)
 	var got = -1
 	w.Run(func(r *Rank) {
 		switch r.ID() {

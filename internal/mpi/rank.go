@@ -103,7 +103,7 @@ func (r *Rank) Isend(dst int, tag int32, size int) *Request {
 	q := &Request{size: size}
 	r.sendSeq++
 	seq := r.sendSeq
-	if size <= r.world.cfg.EagerThreshold {
+	if size <= r.world.Cluster.EagerThreshold {
 		r.conn(dst).Send(transport.Message{
 			Kind: kEager, Tag: tag, MsgSeq: seq, Size: envelopeSize + size,
 		})

@@ -9,7 +9,7 @@ import (
 // TestWaitTimeoutExpiresThenCompletes: a receive that outlives its
 // timeout stays outstanding and still completes on a later Wait.
 func TestWaitTimeoutExpiresThenCompletes(t *testing.T) {
-	w := gigeWorld(t, 2, 1, Config{})
+	w := gigeWorld(t, 2, 1, 0)
 	var timedOut bool
 	var size int
 	var done sim.Time
@@ -40,7 +40,7 @@ func TestWaitTimeoutExpiresThenCompletes(t *testing.T) {
 // TestWaitTimeoutCompletesInTime: a send landing inside the window
 // returns true.
 func TestWaitTimeoutCompletesInTime(t *testing.T) {
-	w := gigeWorld(t, 2, 2, Config{})
+	w := gigeWorld(t, 2, 2, 0)
 	var ok bool
 	w.Run(func(r *Rank) {
 		switch r.ID() {
@@ -60,7 +60,7 @@ func TestWaitTimeoutCompletesInTime(t *testing.T) {
 // the whole set — a second request arriving past it fails the call even
 // though the first completed, and the leftovers stay live.
 func TestWaitAllTimeoutAbsoluteDeadline(t *testing.T) {
-	w := gigeWorld(t, 2, 3, Config{})
+	w := gigeWorld(t, 2, 3, 0)
 	var firstOK, secondOK, zeroOK bool
 	var q1Done bool
 	w.Run(func(r *Rank) {
@@ -96,7 +96,7 @@ func TestWaitAllTimeoutAbsoluteDeadline(t *testing.T) {
 // withdraws; a receive already satisfied from the unexpected queue does
 // not; re-posting after a cancel still matches a late envelope.
 func TestCancelRecv(t *testing.T) {
-	w := gigeWorld(t, 2, 4, Config{})
+	w := gigeWorld(t, 2, 4, 0)
 	var cancelledFresh, cancelledMatched bool
 	var reposted int
 	w.Run(func(r *Rank) {

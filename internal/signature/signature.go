@@ -10,6 +10,7 @@ package signature
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -76,6 +77,14 @@ func Fit(h model.Hockney, n int, samples []Sample, opts Options) (model.Signatur
 	if n < 2 {
 		return model.Signature{}, Report{}, fmt.Errorf("signature: need n >= 2, got %d", n)
 	}
+	if err := h.Validate(); err != nil {
+		return model.Signature{}, Report{}, fmt.Errorf("signature: %w", err)
+	}
+	for i, s := range samples {
+		if s.M < 0 || math.IsNaN(s.T) || math.IsInf(s.T, 0) || s.T <= 0 {
+			return model.Signature{}, Report{}, fmt.Errorf("signature: sample %d has size %d, time %v", i, s.M, s.T)
+		}
+	}
 	candidates := thresholdCandidates(samples, opts)
 	rep := Report{Candidates: make(map[int]float64, len(candidates))}
 	best := model.Signature{}
@@ -125,7 +134,7 @@ func Fit(h model.Hockney, n int, samples []Sample, opts Options) (model.Signatur
 	if best.Delta >= 0 && best.Delta < minDelta && best.Delta != 0 {
 		g, err := fitGammaOnly(h, n, samples, opts)
 		if err == nil {
-			best.Gamma = g
+			best.Gamma = math.Max(g, 1)
 		}
 		best.Delta = 0
 		best.M = 0
@@ -143,6 +152,10 @@ func Fit(h model.Hockney, n int, samples []Sample, opts Options) (model.Signatur
 		meas[i], est[i] = s.T, p
 	}
 	rep.MAPE = stats.MeanAbsRelErr(meas, est)
+	// Finite inputs can still overflow the lower bound.
+	if best.Validate() != nil || math.IsNaN(rep.MAPE) || math.IsInf(rep.MAPE, 0) {
+		return model.Signature{}, Report{}, stats.ErrDegenerate
+	}
 	return best, rep, nil
 }
 

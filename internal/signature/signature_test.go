@@ -3,6 +3,7 @@ package signature
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -116,8 +117,10 @@ func TestBadN(t *testing.T) {
 
 func TestNegativeDeltaClamped(t *testing.T) {
 	// Data generated with a *negative* δ: the default fit clamps to 0.
+	// δ is small enough that every sample time stays positive (Fit
+	// rejects non-positive times).
 	const n = 16
-	bad := model.Signature{H: h, Gamma: 2, Delta: -1e-3, M: 4096}
+	bad := model.Signature{H: h, Gamma: 2, Delta: -1e-4, M: 4096}
 	samples := synth(bad, n, sweep)
 	got, _, err := Fit(h, n, samples, Options{FixedM: 4096})
 	if err != nil {
@@ -209,5 +212,30 @@ func TestMinDeltaThreshold(t *testing.T) {
 	}
 	if math.Abs(got.Gamma-2.5)/2.5 > 0.01 {
 		t.Fatalf("γ drifted after δ drop: %v", got.Gamma)
+	}
+}
+
+func TestFitRejectsUnusableInputs(t *testing.T) {
+	const n = 8
+	good := synth(model.Signature{H: h, Gamma: 2}, n, sweep)
+	for _, tc := range []struct {
+		name string
+		h    model.Hockney
+		mut  func(s []Sample)
+		want string
+	}{
+		{"negative time", h, func(s []Sample) { s[2].T = -1e-3 }, "sample 2"},
+		{"zero time", h, func(s []Sample) { s[3].T = 0 }, "sample 3"},
+		{"NaN time", h, func(s []Sample) { s[1].T = math.NaN() }, "sample 1"},
+		{"infinite time", h, func(s []Sample) { s[4].T = math.Inf(1) }, "sample 4"},
+		{"negative size", h, func(s []Sample) { s[0].M = -1 }, "sample 0"},
+		{"NaN alpha", model.Hockney{Alpha: math.NaN(), Beta: h.Beta}, func([]Sample) {}, "Hockney"},
+		{"negative beta", model.Hockney{Alpha: h.Alpha, Beta: -1}, func([]Sample) {}, "Hockney"},
+	} {
+		s := append([]Sample(nil), good...)
+		tc.mut(s)
+		if _, _, err := Fit(tc.h, n, s, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
